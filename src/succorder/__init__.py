@@ -35,7 +35,7 @@ from .graph import (
     parse_edge_list,
     vertices_of,
 )
-from .layers import Layer, enumerate_layers, independence_number, iter_layers
+from .layers import Layer, independence_number, iter_layers
 from .oracle import (
     ORACLE_MAX_N,
     bad_vertices,
@@ -95,7 +95,6 @@ __all__ = [
     "count_check",
     "delete_decompose",
     "detect_fully_regular",
-    "enumerate_layers",
     "eval_at_minus_one",
     "eval_indicator",
     "eval_partial",

@@ -15,23 +15,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .counting import pr_good, sigma
 from .errors import InternalCheckError, ParseError, VerificationError, require_internal
-from .graph import Graph, is_connected, mask_of, parse_edge_list, vertices_of
+from .graph import Graph, _decimal, is_connected, mask_of, parse_edge_list, vertices_of
 from .oracle import ORACLE_MAX_N, brute_distribution, brute_event, brute_sigma
 from .polynomial import (
     bad_distribution,
     build_polynomial,
     delete_decompose,
     eval_at_minus_one,
-    eval_indicator,
     eval_partial,
 )
 from .randgraph import random_connected_graph
@@ -43,27 +40,12 @@ EXIT_INTERNAL = 2
 EXIT_MISMATCH = 3
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as handle:
-        g = parse_edge_list(handle.read())
-    if not is_connected(g):
-        print(
-            "warning: graph is disconnected; it has no successive ordering",
-            file=sys.stderr,
-        )
-    return g
-
-
-def _document(command: str, g: Graph, payload: dict) -> dict:
-    return {
-        "command": command,
-        "input": {
-            "n": g.n,
-            "edges": g.edge_count,
-            "connected": is_connected(g),
-        },
-        "payload": payload,
-    }
+def _input_graph(args: argparse.Namespace) -> Graph:
+    """The edge-list file named on the command line, or bench's seeded graph."""
+    if args.command == "bench":
+        return random_connected_graph(args.n, args.density, args.seed)
+    with open(args.path, encoding="utf-8") as handle:
+        return parse_edge_list(handle.read())
 
 
 def _parse_vertex_list(g: Graph, text: str | None) -> int:
@@ -74,112 +56,74 @@ def _parse_vertex_list(g: Graph, text: str | None) -> int:
         chunk = chunk.strip()
         if not chunk:
             continue
-        v = int(chunk)
-        if not 0 <= v < g.n:
+        v = _decimal(chunk)
+        if v >= g.n:
             raise ValueError(f"vertex {v} out of range for a graph on {g.n} vertices")
         vertices.append(v)
     return mask_of(vertices)
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
-def _cmd_count(args: argparse.Namespace) -> dict:
-    g = _load_graph(args.path)
+def _cmd_count(args: argparse.Namespace, g: Graph) -> dict:
     result = sigma(g)
-    return _document(
-        "count",
-        g,
-        {"sigma": str(result.sigma), "sigma_prime": _frac(result.sigma_prime)},
-    )
+    return {"sigma": str(result.sigma), "sigma_prime": str(result.sigma_prime)}
 
 
-def _poly_payload(g: Graph) -> dict:
+def _cmd_poly(args: argparse.Namespace, g: Graph) -> dict:
     poly = build_polynomial(g)
     dist = bad_distribution(poly)
     result = eval_at_minus_one(poly)
     require_internal(result.sigma == dist.counts[0], "F(-1) differs from the zero-bad count")
     return {
-        "p_coeffs": [_frac(c) for c in poly.p_coeffs],
+        "p_coeffs": [str(c) for c in poly.p_coeffs],
         "f_coeffs": [str(c) for c in poly.f_coeffs],
         "A": [str(c) for c in dist.counts],
         "sigma": str(result.sigma),
     }
 
 
-def _cmd_poly(args: argparse.Namespace) -> dict:
-    g = _load_graph(args.path)
-    return _document("poly", g, _poly_payload(g))
-
-
-def _cmd_distribution(args: argparse.Namespace) -> dict:
-    g = _load_graph(args.path)
-    return _document("distribution", g, _poly_payload(g))
-
-
-def _cmd_eval(args: argparse.Namespace) -> dict:
-    g = _load_graph(args.path)
+def _cmd_eval(args: argparse.Namespace, g: Graph) -> dict:
     good = _parse_vertex_list(g, args.good)
     bad = _parse_vertex_list(g, args.bad)
-    if bad:
-        value = eval_partial(g, bad, good)
-    else:
-        value = eval_indicator(g, good)
-    return _document(
-        "eval",
-        g,
-        {
-            "good": vertices_of(good & ~bad),
-            "bad": vertices_of(bad),
-            "probability": _frac(value),
-        },
-    )
+    return {
+        "good": vertices_of(good & ~bad),
+        "bad": vertices_of(bad),
+        "probability": str(eval_partial(g, bad, good)),
+    }
 
 
-def _cmd_delete(args: argparse.Namespace) -> dict:
-    g = _load_graph(args.path)
+def _cmd_delete(args: argparse.Namespace, g: Graph) -> dict:
     removed = _parse_vertex_list(g, args.set)
     report = delete_decompose(g, removed)
-    return _document(
-        "delete",
-        g,
-        {
-            "set": vertices_of(removed),
-            "p_g": [_frac(c) for c in report.p_g.p_coeffs],
-            "p_gprime": [_frac(c) for c in report.p_gprime.p_coeffs],
-            "r_s": [_frac(c) for c in report.r_s],
-            "u_s": [_frac(c) for c in report.u_s],
-            "identity_holds": report.identity_holds,
-        },
-    )
+    return {
+        "set": vertices_of(removed),
+        "p_g": [str(c) for c in report.p_g.p_coeffs],
+        "p_gprime": [str(c) for c in report.p_gprime.p_coeffs],
+        "r_s": [str(c) for c in report.r_s],
+        "u_s": [str(c) for c in report.u_s],
+    }
 
 
-def _cmd_regular(args: argparse.Namespace) -> dict:
-    g = _load_graph(args.path)
+def _cmd_regular(args: argparse.Namespace, g: Graph) -> dict:
     verdict = detect_fully_regular(g)
     if isinstance(verdict, RegularityProfile):
-        payload = {
+        return {
             "fully_regular": True,
             "alpha": verdict.alpha,
             "a": list(verdict.a_seq),
         }
-    else:
-        payload = {
-            "fully_regular": False,
-            "witness": {
-                "size": verdict.size,
-                "set_a": vertices_of(verdict.first_set),
-                "a_a": verdict.first_value,
-                "set_b": vertices_of(verdict.other_set),
-                "a_b": verdict.other_value,
-            },
-        }
-    return _document("regular", g, payload)
+    return {
+        "fully_regular": False,
+        "witness": {
+            "size": verdict.size,
+            "set_a": vertices_of(verdict.first_set),
+            "a_a": verdict.first_value,
+            "set_b": vertices_of(verdict.other_set),
+            "a_b": verdict.other_value,
+        },
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> dict:
-    g = _load_graph(args.path)
+def _cmd_verify(args: argparse.Namespace, g: Graph) -> dict:
     limit = min(args.max_n, ORACLE_MAX_N)
     if g.n > limit:
         raise ValueError(f"verify is limited to n <= {limit}, got n = {g.n}")
@@ -219,19 +163,14 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
             )
         samples += 1
 
-    return _document(
-        "verify",
-        g,
-        {
-            "sigma": str(engine_sigma),
-            "checks": {"sigma": "ok", "distribution": "ok", "events": "ok"},
-            "events_sampled": samples,
-        },
-    )
+    return {
+        "sigma": str(engine_sigma),
+        "checks": {"sigma": "ok", "distribution": "ok", "events": "ok"},
+        "events_sampled": samples,
+    }
 
 
-def _cmd_bench(args: argparse.Namespace) -> dict:
-    g = random_connected_graph(args.n, args.density, args.seed)
+def _cmd_bench(args: argparse.Namespace, g: Graph) -> dict:
     start = time.perf_counter()
     result = sigma(g)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -241,19 +180,15 @@ def _cmd_bench(args: argparse.Namespace) -> dict:
         eval_at_minus_one(poly).sigma == result.sigma == dist.counts[0],
         "count, polynomial value and zero-bad count disagree",
     )
-    return _document(
-        "bench",
-        g,
-        {
-            "n": args.n,
-            "density": args.density,
-            "seed": args.seed,
-            "sigma": str(result.sigma),
-            "sigma_prime": _frac(result.sigma_prime),
-            "elapsed_ms": round(elapsed_ms, 3),
-            "self_check": "ok",
-        },
-    )
+    return {
+        "n": args.n,
+        "density": args.density,
+        "seed": args.seed,
+        "sigma": str(result.sigma),
+        "sigma_prime": str(result.sigma_prime),
+        "elapsed_ms": round(elapsed_ms, 3),
+        "self_check": "ok",
+    }
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -272,20 +207,22 @@ def _emit(doc: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="succorder",
         description="Exact counting of successive vertex orderings of simple graphs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker count (results are identical for any value)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def file_cmd(name: str, handler, help_text: str) -> argparse.ArgumentParser:
@@ -296,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     file_cmd("count", _cmd_count, "count the successive vertex orderings")
     file_cmd("poly", _cmd_poly, "ordering polynomial coefficients")
-    file_cmd("distribution", _cmd_distribution, "orderings by bad-vertex count")
+    file_cmd("distribution", _cmd_poly, "orderings by bad-vertex count")
 
     p_eval = file_cmd("eval", _cmd_eval, "event probabilities over vertex sets")
     p_eval.add_argument("--good", metavar="LIST", help="comma-separated vertices required good")
@@ -322,12 +259,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return EXIT_INPUT
     start = time.perf_counter()
     try:
-        doc = args.handler(args)
+        g = _input_graph(args)
+        connected = is_connected(g)
+        if not connected:
+            print("warning: graph is disconnected; it has no successive ordering", file=sys.stderr)
+        payload = args.handler(args, g)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -337,6 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    doc = {
+        "command": args.command,
+        "input": {"n": g.n, "edges": g.edge_count, "connected": connected},
+        "payload": payload,
+    }
     _emit(doc, args.json)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed: {elapsed_ms:.3f} ms", file=sys.stderr)

@@ -12,6 +12,12 @@ expose ordinary ``fractions.Fraction`` values.  Because sigma(G) reaches
 n!-scale and the alternating sum cancels heavily, the final
 "n! * sigma' is an integer in [0, n!]" assertion doubles as a free
 correctness check.
+
+Every feature here runs on one pass of ``layers.iter_layers``: each layer
+carries, in ``Layer.nbhds``, the closed neighbourhood N[I] of every set, so
+|N[I]| for the recursion and a(I) = n - |N[I]| for the weights are read
+from the pass, never recomputed.  Only one previous layer of masks,
+neighbourhoods and scaled b-values stays resident.
 """
 
 from __future__ import annotations
@@ -28,10 +34,9 @@ from .graph import (
     VertexSet,
     a_value,
     is_independent,
-    iter_vertices,
     vertices_of,
 )
-from .layers import iter_layers
+from .layers import Layer, iter_layers
 
 #: Cap on |I| for the factorial-cost permutation-sum cross-check.
 PERMUTATION_SUM_MAX = 8
@@ -44,35 +49,49 @@ def _scale_base(n: int) -> int:
 
 def _scaled_layers(
     g: Graph, universe: VertexSet | None = None
-) -> Iterator[tuple[int, dict[VertexSet, tuple[int, int]]]]:
+) -> Iterator[tuple[Layer, dict[VertexSet, int]]]:
     """Layered b-recursion over independent sets contained in ``universe``.
 
-    Yields ``(k, {mask: (num, m)})`` where ``num = b(mask) * lcm(1..n)**k``
-    (an exact integer) and ``m = |N[mask]| = n - a(mask)``.  Neighbourhoods
-    are always taken in the full graph; the universe only restricts which
-    sets are enumerated.  Only the previous layer is retained.
+    Yields ``(layer, {mask: num})`` where ``num = b(mask) * lcm(1..n)**k``
+    is an exact integer; the dict follows ``layer.sets`` in order, so it
+    zips with ``layer.nbhds``.  |N[mask]| is read from the layer, and
+    neighbourhoods are always those of the full graph: the universe only
+    restricts which sets are enumerated.  Only the previous layer's
+    b-values are retained.
     """
     scale = _scale_base(g.n)
-    adj = g.adj
-    prev: dict[VertexSet, tuple[int, int]] = {}
+    prev: dict[VertexSet, int] = {}
     for layer in iter_layers(g, universe):
         if layer.k == 0:
-            cur = {0: (1, 0)}
+            cur = {0: 1}
         else:
             cur = {}
-            for members in layer.sets:
-                nbhd = members
+            for members, nbhd in zip(layer.sets, layer.nbhds):
                 child_sum = 0
                 rest = members
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    nbhd |= adj[low.bit_length() - 1]
-                    child_sum += prev[members ^ low][0]
-                m = nbhd.bit_count()
-                cur[members] = ((scale // m) * child_sum, m)
-        yield layer.k, cur
+                    child_sum += prev[members ^ low]
+                cur[members] = (scale // nbhd.bit_count()) * child_sum
+        yield layer, cur
         prev = cur
+
+
+def _layer_weights(
+    g: Graph, universe: VertexSet | None = None, required: VertexSet = 0
+) -> list[int]:
+    """Per layer k, the sum of a(I) * b(I) * lcm(1..n)**k over the layer's
+    independent sets I within ``universe`` that contain ``required``."""
+    n = g.n
+    sums = []
+    for layer, cur in _scaled_layers(g, universe):
+        acc = 0
+        for nbhd, (mask, num) in zip(layer.nbhds, cur.items()):
+            if not required & ~mask:
+                acc += (n - nbhd.bit_count()) * num
+        sums.append(acc)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -127,9 +146,9 @@ def compute_b_table(g: Graph, universe: VertexSet | None = None) -> BTable:
     """
     scale = _scale_base(g.n)
     layers = []
-    for k, cur in _scaled_layers(g, universe):
-        denom = scale**k
-        layers.append({mask: Fraction(num, denom) for mask, (num, _) in cur.items()})
+    for layer, cur in _scaled_layers(g, universe):
+        denom = scale**layer.k
+        layers.append({mask: Fraction(num, denom) for mask, num in cur.items()})
     return BTable(g, tuple(layers))
 
 
@@ -180,23 +199,15 @@ def _alternating_total(g: Graph, universe: VertexSet | None, required: VertexSet
     The sign is (-1) to the power |I minus required|.  Accumulation runs
     layer by layer, mask-ascending, entirely in scaled integers.
     """
-    n = g.n
-    scale = _scale_base(n)
+    scale = _scale_base(g.n)
     tsize = required.bit_count()
-    layer_sums: list[int] = []
-    for _, cur in _scaled_layers(g, universe):
-        acc = 0
-        for mask, (num, m) in cur.items():
-            if required & ~mask:
-                continue
-            acc += (n - m) * num
-        layer_sums.append(acc)
+    layer_sums = _layer_weights(g, universe, required)
     alpha = len(layer_sums) - 1
     numer = 0
     for k, acc in enumerate(layer_sums):
         sign = -1 if (k - tsize) & 1 else 1
         numer += sign * acc * scale ** (alpha - k)
-    return Fraction(numer, n * scale**alpha)
+    return Fraction(numer, g.n * scale**alpha)
 
 
 def sigma(g: Graph) -> SigmaResult:

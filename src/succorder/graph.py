@@ -95,12 +95,24 @@ class Graph:
         return cls(n, tuple(adj))
 
 
+def _decimal(field: str) -> int:
+    """Value of an ASCII ``[0-9]+`` field.
+
+    ``int`` alone would also accept signs, underscores and non-ASCII digits,
+    silently reinterpreting input such as ``1_1`` as 11.
+    """
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"{field!r} is not a decimal integer")
+    return int(field)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     The first non-comment line is ``n m``; the following m non-comment lines
-    are ``u v`` with 0-based endpoints.  Lines starting with ``#`` and blank
-    lines are skipped.  Duplicate edges are tolerated (they collapse to one).
+    are ``u v`` with 0-based endpoints; every field is ASCII ``[0-9]+``.
+    Lines starting with ``#`` and blank lines are skipped.  Duplicate edges
+    are tolerated (they collapse to one).
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -114,13 +126,11 @@ def parse_edge_list(text: str) -> Graph:
             if len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected header 'n m', got {line!r}")
             try:
-                n, m = int(fields[0]), int(fields[1])
+                n, m = _decimal(fields[0]), _decimal(fields[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer header field in {line!r}") from None
             if not 1 <= n <= MAX_VERTICES:
                 raise ParseError(f"line {lineno}: vertex count {n} outside [1, {MAX_VERTICES}]")
-            if m < 0:
-                raise ParseError(f"line {lineno}: negative edge count {m}")
             header = (n, m)
             continue
         if len(edges) >= header[1]:
@@ -128,10 +138,10 @@ def parse_edge_list(text: str) -> Graph:
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected edge 'u v', got {line!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _decimal(fields[0]), _decimal(fields[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
+        if not (u < n and v < n):
             raise ParseError(f"line {lineno}: vertex index out of range in {line!r}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import (
-    BTable,
     SigmaResult,
     _alternating_total,
+    _layer_weights,
     _scale_base,
     _scaled_layers,
     compute_b_table,
@@ -31,9 +31,7 @@ from .errors import require_internal
 from .graph import (
     Graph,
     VertexSet,
-    a_value,
     bit,
-    closed_neighborhood,
     induced_subgraph,
     is_independent,
     iter_vertices,
@@ -95,22 +93,24 @@ class DeletionReport:
     r_s: tuple[Fraction, ...]
     u_s: tuple[Fraction, ...]
     delta_b: dict[VertexSet, Fraction] = field(repr=False)
-    identity_holds: bool = True
 
 
 def build_polynomial(g: Graph) -> OrderingPolynomial:
-    """Assemble P_G and F from the layered weight sums.
+    """Assemble P_G and F from the layered weight sums."""
+    return _polynomial(g.n, _layer_weights(g))
+
+
+def _polynomial(n: int, layer_sums: list[int]) -> OrderingPolynomial:
+    """P_G and F from the per-layer sums of a(I) * b(I) * lcm(1..n)**k.
 
     Integrality and nonnegativity of every F coefficient are asserted; a
     failure would signal an arithmetic bug.
     """
-    n = g.n
     scale = _scale_base(n)
     nfact = math.factorial(n)
     p: list[Fraction] = []
     f: list[int] = []
-    for k, cur in _scaled_layers(g):
-        layer_sum = sum((n - m) * num for num, m in cur.values())
+    for k, layer_sum in enumerate(layer_sums):
         p.append(Fraction(layer_sum, n * scale**k))
         c, rem = divmod(nfact * layer_sum, n * scale**k)
         require_internal(rem == 0, f"F coefficient at degree {k} is not integral")
@@ -217,35 +217,59 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         raise ValueError("removal set mentions vertices outside the graph")
     if removed == full:
         raise ValueError("cannot remove every vertex; the remainder must be nonempty")
-    keep = full & ~removed
-    sub, old_labels = induced_subgraph(g, keep)
-
-    p_g = build_polynomial(g)
-    p_sub = build_polynomial(sub)
-    table_g = compute_b_table(g)
-    table_sub = compute_b_table(sub)
-
+    sub, old_labels = induced_subgraph(g, full & ~removed)
+    n, scale = g.n, _scale_base(g.n)
     removed_size = removed.bit_count()
 
-    u_s = [Fraction(0)] * (table_g.alpha + 1)
-    for k, layer in enumerate(table_g.layers):
-        for mask in layer:
+    # One pass over G: weight sums of the sets that meet S and of the sets
+    # that survive in G', plus b_G and N_G[I] of every survivor.
+    meet_sums: list[int] = []
+    kept_sums: list[int] = []
+    kept: dict[VertexSet, tuple[Fraction, VertexSet]] = {}
+    for layer, cur in _scaled_layers(g):
+        denom = scale**layer.k
+        meets = stays = 0
+        for nbhd, (mask, num) in zip(layer.nbhds, cur.items()):
+            term = (n - nbhd.bit_count()) * num
             if mask & removed:
-                u_s[k] += weight(g, mask, table_g)
+                meets += term
+            else:
+                stays += term
+                kept[mask] = (Fraction(num, denom), nbhd)
+        meet_sums.append(meets)
+        kept_sums.append(stays)
+    p_g = _polynomial(n, [meets + stays for meets, stays in zip(meet_sums, kept_sums)])
+    u_s = [Fraction(meets, n * scale**k) for k, meets in enumerate(meet_sums)]
 
-    r_s = [Fraction(0)] * (table_sub.alpha + 1)
+    # One pass over G' in its own labels, translated back to those of G.
+    sub_n, sub_scale = sub.n, _scale_base(sub.n)
+    sub_sums: list[int] = []
+    r_s: list[Fraction] = []
     delta_direct: dict[VertexSet, Fraction] = {}
-    for k, layer in enumerate(table_sub.layers):
-        for sub_mask, b_sub in layer.items():
+    delta_recursive: dict[VertexSet, Fraction] = {0: Fraction(0)}
+    for layer, cur in _scaled_layers(sub):
+        k = layer.k
+        denom = sub_scale**k
+        acc = 0
+        for sub_nbhd, (sub_mask, num) in zip(layer.nbhds, cur.items()):
+            nbhd_size = sub_nbhd.bit_count()
+            acc += (sub_n - nbhd_size) * num
             orig_mask = _translate(sub_mask, old_labels)
-            b_orig = table_g[orig_mask]
-            r_s[k] += weight(sub, sub_mask, table_sub) - weight(g, orig_mask, table_g)
-            delta_direct[orig_mask] = b_sub - b_orig
-            overlap = (closed_neighborhood(g, orig_mask) & removed).bit_count()
+            b_orig, nbhd = kept[orig_mask]
+            overlap = (nbhd & removed).bit_count()
             require_internal(
-                a_value(sub, sub_mask) == a_value(g, orig_mask) - (removed_size - overlap),
+                sub_n - nbhd_size == n - nbhd.bit_count() - (removed_size - overlap),
                 f"outside-count mismatch after deletion for set {orig_mask:#x}",
             )
+            delta_direct[orig_mask] = Fraction(num, denom) - b_orig
+            if orig_mask:
+                child_sum = Fraction(0)
+                for v in iter_vertices(orig_mask):
+                    child_sum += delta_recursive[orig_mask ^ bit(v)]
+                delta_recursive[orig_mask] = (child_sum + overlap * b_orig) / nbhd_size
+        sub_sums.append(acc)
+        r_s.append(Fraction(acc, sub_n * denom) - Fraction(kept_sums[k], n * scale**k))
+    p_sub = _polynomial(sub_n, sub_sums)
 
     width = max(len(p_g.p_coeffs), len(p_sub.p_coeffs), len(r_s), len(u_s))
 
@@ -257,20 +281,6 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         rhs = coeff(p_sub.p_coeffs, j) - coeff(r_s, j) + coeff(u_s, j)
         require_internal(lhs == rhs, f"deletion identity fails at degree {j}: {lhs} != {rhs}")
 
-    delta_recursive: dict[VertexSet, Fraction] = {0: Fraction(0)}
-    for k, layer in enumerate(table_sub.layers):
-        if k == 0:
-            continue
-        for sub_mask in layer:
-            orig_mask = _translate(sub_mask, old_labels)
-            nbhd_size = sub.n - a_value(sub, sub_mask)
-            child_sum = Fraction(0)
-            for v in iter_vertices(orig_mask):
-                child_sum += delta_recursive[orig_mask ^ bit(v)]
-            overlap = (closed_neighborhood(g, orig_mask) & removed).bit_count()
-            delta_recursive[orig_mask] = (
-                child_sum + overlap * table_g[orig_mask]
-            ) / nbhd_size
     require_internal(
         delta_recursive == delta_direct,
         "delta-b recursion disagrees with the direct difference",
@@ -283,5 +293,4 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         r_s=tuple(r_s),
         u_s=tuple(u_s),
         delta_b=delta_direct,
-        identity_holds=True,
     )

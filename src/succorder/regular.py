@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import require_internal
-from .graph import Graph, VertexSet, a_value
+from .graph import Graph, VertexSet
 from .layers import iter_layers
 
 
@@ -42,17 +42,17 @@ def detect_fully_regular(g: Graph) -> RegularityProfile | RegularityWitness:
 
     Returns the profile when each group is constant, otherwise the first
     witness pair in enumeration order (layer by layer, mask-ascending).
-    Detection is by exhaustive grouping; its cost is dominated by the
-    enumeration itself.
+    Detection is by exhaustive grouping over one enumeration, reading a(I)
+    from the neighbourhood each set carries.
     """
+    n = g.n
     a_seq: list[int] = []
     for layer in iter_layers(g):
-        first_mask = layer.sets[0]
-        first_value = a_value(g, first_mask)
-        for mask in layer.sets[1:]:
-            value = a_value(g, mask)
+        first_value = n - layer.nbhds[0].bit_count()
+        for mask, nbhd in zip(layer.sets, layer.nbhds):
+            value = n - nbhd.bit_count()
             if value != first_value:
-                return RegularityWitness(layer.k, first_mask, first_value, mask, value)
+                return RegularityWitness(layer.k, layer.sets[0], first_value, mask, value)
         a_seq.append(first_value)
     return RegularityProfile(len(a_seq) - 1, tuple(a_seq))
 

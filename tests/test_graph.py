@@ -51,6 +51,9 @@ class TestParse:
             ("2 2\n0 1\n", "found only 1"),
             ("2 1\n0 1\n0 1\n", "line 3"),
             ("", "empty input"),
+            ("1_1 1\n0 1\n", "line 1"),
+            ("+2 1\n0 1\n", "line 1"),
+            ("2 1\n0 \u0661\n", "line 2"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):

@@ -1,13 +1,29 @@
+import sys
+
 import pytest
 
+from succorder import cli
 from succorder import (
-    enumerate_layers,
+    build_polynomial,
+    delete_decompose,
+    detect_fully_regular,
+    eval_partial,
     independence_number,
     is_independent,
     iter_layers,
+    mask_of,
+    pr_good,
+    sigma,
 )
 
-from conftest import c5_chord, complete_graph, cycle_graph, graph_from_edges, path_graph
+from conftest import (
+    C5_CHORD_TEXT,
+    c5_chord,
+    complete_graph,
+    cycle_graph,
+    graph_from_edges,
+    path_graph,
+)
 
 
 def brute_layer_sizes(g):
@@ -21,19 +37,19 @@ def brute_layer_sizes(g):
 
 
 def test_c5_chord_layer_sizes():
-    layers = enumerate_layers(c5_chord())
+    layers = list(iter_layers(c5_chord()))
     assert [len(layer) for layer in layers] == [1, 5, 4]
     assert sum(len(layer) for layer in layers) == 10
 
 
 def test_single_vertex():
-    layers = enumerate_layers(graph_from_edges(1, []))
+    layers = list(iter_layers(graph_from_edges(1, [])))
     assert [layer.sets for layer in layers] == [(0,), (1,)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_complete_graph_layers(n):
-    layers = enumerate_layers(complete_graph(n))
+    layers = list(iter_layers(complete_graph(n)))
     assert [len(layer) for layer in layers] == [1, n]
     assert layers[1].sets == tuple(1 << v for v in range(n))
 
@@ -44,7 +60,7 @@ def test_complete_graph_layers(n):
     ids=["p3", "p6", "c5", "c8", "c5chord", "k4"],
 )
 def test_matches_brute_force_subset_scan(g):
-    layers = enumerate_layers(g)
+    layers = list(iter_layers(g))
     assert [len(layer) for layer in layers] == brute_layer_sizes(g)
     seen = set()
     for layer in layers:
@@ -57,7 +73,7 @@ def test_matches_brute_force_subset_scan(g):
 
 @pytest.mark.parametrize("g", [cycle_graph(6), c5_chord(), path_graph(7)], ids=["c6", "c5chord", "p7"])
 def test_layers_sorted_and_downward_closed(g):
-    layers = enumerate_layers(g)
+    layers = list(iter_layers(g))
     for layer in layers:
         assert list(layer.sets) == sorted(layer.sets)
     for k in range(1, len(layers)):
@@ -74,7 +90,7 @@ def test_matches_subset_scan_at_twenty_vertices():
     from succorder import random_connected_graph
 
     g = random_connected_graph(20, 0.3, seed=3)
-    enumerated = sum(len(layer) for layer in enumerate_layers(g))
+    enumerated = sum(len(layer) for layer in iter_layers(g))
     scanned = sum(1 for mask in range(1 << g.n) if is_independent(g, mask))
     assert enumerated == scanned
 
@@ -91,3 +107,31 @@ def test_independence_number():
     assert independence_number(complete_graph(6)) == 1
     assert independence_number(path_graph(3)) == 2
     assert independence_number(cycle_graph(8)) == 4
+
+
+def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
+    passes = []
+
+    def counted(g, universe=None):
+        passes.append(universe)
+        return iter_layers(g, universe)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "succorder" and getattr(module, "iter_layers", None) is iter_layers:
+            monkeypatch.setattr(module, "iter_layers", counted)
+    g = c5_chord()
+    path = tmp_path / "c5chord.txt"
+    path.write_text(C5_CHORD_TEXT)
+    features = [
+        (1, lambda: sigma(g)),
+        (1, lambda: build_polynomial(g)),
+        (1, lambda: pr_good(g, mask_of([0, 2, 3]))),
+        (1, lambda: eval_partial(g, mask_of([0]), mask_of([2, 3]))),
+        (1, lambda: detect_fully_regular(g)),
+        (1, lambda: cli.main(["eval", str(path), "--good", "0,2,3"])),
+        (2, lambda: delete_decompose(g, mask_of([4]))),
+    ]
+    for expected, feature in features:
+        passes.clear()
+        feature()
+        assert len(passes) == expected

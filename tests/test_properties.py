@@ -10,9 +10,10 @@ from succorder import (
     a_value,
     b_permutation_sum,
     brute_sigma,
+    closed_neighborhood,
     compute_b_table,
-    enumerate_layers,
     is_independent,
+    iter_layers,
     iter_vertices,
     open_neighborhood,
     parse_edge_list,
@@ -58,17 +59,20 @@ def test_nonempty_sets_leave_something_in_the_neighbourhood(gm):
         assert g.n - a_value(g, mask) >= 1
 
 
-@given(graphs())
-def test_layers_agree_with_subset_scan(g):
-    layers = enumerate_layers(g)
-    by_size = {}
-    for mask in range(1 << g.n):
-        if is_independent(g, mask):
-            by_size.setdefault(mask.bit_count(), set()).add(mask)
-    assert len(layers) == len(by_size)
-    for layer in layers:
-        assert set(layer.sets) == by_size[layer.k]
-        assert list(layer.sets) == sorted(layer.sets)
+@given(graph_and_mask())
+def test_layers_agree_with_subset_scan(gm):
+    g, universe = gm
+    for within in (g.full_mask, universe):
+        layers = list(iter_layers(g, within))
+        by_size = {}
+        for mask in range(1 << g.n):
+            if not mask & ~within and is_independent(g, mask):
+                by_size.setdefault(mask.bit_count(), set()).add(mask)
+        assert len(layers) == len(by_size)
+        for layer in layers:
+            assert set(layer.sets) == by_size[layer.k]
+            assert list(layer.sets) == sorted(layer.sets)
+            assert layer.nbhds == tuple(closed_neighborhood(g, mask) for mask in layer.sets)
 
 
 @given(graphs(max_n=6))
