@@ -6,6 +6,10 @@ alternating sum over independent sets, builds the associated ordering
 polynomial and bad-vertex distribution, evaluates event probabilities,
 decomposes the polynomial under vertex deletion, and cross-validates
 everything against a brute-force oracle.
+
+The oracle's names are exported too, but ``succorder.oracle`` (and with it
+numpy) is imported only when one of them is first looked up, so importing
+the package, or running any CLI command but ``verify``, stays numpy-free.
 """
 
 from .counting import (
@@ -36,13 +40,6 @@ from .graph import (
     vertices_of,
 )
 from .layers import Layer, independence_number, iter_layers
-from .oracle import (
-    ORACLE_MAX_N,
-    bad_vertices,
-    brute_distribution,
-    brute_event,
-    brute_sigma,
-)
 from .polynomial import (
     BadDistribution,
     DeletionReport,
@@ -64,6 +61,19 @@ from .regular import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    {"ORACLE_MAX_N", "bad_vertices", "brute_distribution", "brute_event", "brute_sigma"}
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BTable",

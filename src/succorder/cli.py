@@ -7,6 +7,12 @@ Big integers are serialized as decimal strings and rationals as
 "numerator/denominator" in lowest terms, so machine consumers never lose
 precision.
 
+The stderr ``elapsed: <x> ms`` line times only what follows argument
+parsing: reading the input, computing and printing.  It leaves out
+interpreter start-up and imports, which are most of the wall time of a
+run on a small graph.  Only ``verify`` imports the brute-force oracle,
+and with it numpy.
+
 Exit codes: 0 success, 1 input error, 2 internal assertion failure,
 3 verification mismatch.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 
@@ -23,7 +30,6 @@ from . import __version__
 from .counting import pr_good, sigma
 from .errors import InternalCheckError, ParseError, VerificationError, require_internal
 from .graph import Graph, _decimal, is_connected, mask_of, parse_edge_list, vertices_of
-from .oracle import ORACLE_MAX_N, brute_distribution, brute_event, brute_sigma
 from .polynomial import (
     bad_distribution,
     build_polynomial,
@@ -46,6 +52,13 @@ def _input_graph(args: argparse.Namespace) -> Graph:
         return random_connected_graph(args.n, args.density, args.seed)
     with open(args.path, encoding="utf-8") as handle:
         return parse_edge_list(handle.read())
+
+
+def _density(text: str) -> float:
+    """Value of an ASCII decimal such as ``0.25``; ``float`` alone would also take ``0_1``."""
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return float(text)
 
 
 def _parse_vertex_list(g: Graph, text: str | None) -> int:
@@ -124,7 +137,9 @@ def _cmd_regular(args: argparse.Namespace, g: Graph) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace, g: Graph) -> dict:
-    limit = min(args.max_n, ORACLE_MAX_N)
+    from .oracle import ORACLE_MAX_N, brute_distribution, brute_event, brute_sigma
+
+    limit = ORACLE_MAX_N if args.max_n is None else min(args.max_n, ORACLE_MAX_N)
     if g.n > limit:
         raise ValueError(f"verify is limited to n <= {limit}, got n = {g.n}")
 
@@ -245,13 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     file_cmd("regular", _cmd_regular, "fully-regular profile or witness")
 
     p_verify = file_cmd("verify", _cmd_verify, "compare the engine against the brute-force oracle")
-    p_verify.add_argument("--max-n", type=int, default=ORACLE_MAX_N, help="size guard")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled events")
+    p_verify.add_argument("--max-n", type=_decimal, help="size guard (default: the oracle's cap)")
+    p_verify.add_argument("--seed", type=_decimal, default=0, help="seed for sampled events")
 
     p_bench = sub.add_parser("bench", parents=[common], help="time the engine on a random graph")
-    p_bench.add_argument("--n", type=int, default=20, help="vertex count")
-    p_bench.add_argument("--density", type=float, default=0.2, help="extra-edge density")
-    p_bench.add_argument("--seed", type=int, default=0, help="graph seed")
+    p_bench.add_argument("--n", type=_decimal, default=20, help="vertex count")
+    p_bench.add_argument("--density", type=_density, default=0.2, help="extra-edge density")
+    p_bench.add_argument("--seed", type=_decimal, default=0, help="graph seed")
     p_bench.set_defaults(handler=_cmd_bench)
 
     return parser

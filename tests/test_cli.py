@@ -206,6 +206,63 @@ class TestBench:
         assert payload["elapsed_ms"] >= 0
 
 
+# Runs cli.main on the argv in sys.argv[1] (JSON), then prints, as its last
+# stdout line, the exit code and which of the oracle's modules got imported.
+_IMPORTS_AFTER_MAIN = """
+import json, sys
+from succorder.cli import main
+code = main(json.loads(sys.argv[1]))
+loaded = [m for m in ("numpy", "succorder.oracle") if m in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def imports_after_main(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_AFTER_MAIN, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportPath:
+    """Only verify pays for the oracle's numpy import."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "{path}"],
+            ["poly", "{path}"],
+            ["distribution", "{path}"],
+            ["eval", "{path}", "--good", "1,2", "--bad", "0"],
+            ["delete", "{path}", "--set", "4"],
+            ["regular", "{path}"],
+            ["bench", "--n", "8"],
+        ],
+    )
+    def test_engine_commands_skip_the_oracle(self, argv, c5chord_file):
+        result = imports_after_main([arg.format(path=c5chord_file) for arg in argv])
+        assert result == {"code": 0, "loaded": []}
+
+    def test_verify_loads_the_oracle(self, c5chord_file):
+        result = imports_after_main(["verify", c5chord_file])
+        assert result == {"code": 0, "loaded": ["numpy", "succorder.oracle"]}
+
+    def test_module_entry_point_skips_the_oracle(self, c5chord_file):
+        # -m imports the package __init__ before __main__
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "succorder", "count", c5chord_file],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
+        assert "succorder.cli" in imported
+        assert not imported & {"numpy", "succorder.oracle"}
+
+
 class TestDeterminism:
     def test_byte_identical_documents(self, c5chord_file):
         for args in (
@@ -234,7 +291,20 @@ class TestExitCodeMapping:
         monkeypatch.setattr(cli, "sigma", boom)
         assert cli.main(["count", c5chord_file]) == 3
 
-    @pytest.mark.parametrize("argv", [["count"], ["count", "{path}", "--bogus"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count"],
+            ["count", "{path}", "--bogus"],
+            # int() and float() would read these as 10, 2, 1, 0.1, 3 and 9
+            ["bench", "--n", "1_0"],
+            ["bench", "--n", "+2"],
+            ["bench", "--seed", "\u0661"],
+            ["bench", "--density", "0_1"],
+            ["verify", "{path}", "--seed", "\u0663"],
+            ["verify", "{path}", "--max-n", "\u0669"],
+        ],
+    )
     def test_usage_error_maps_to_1(self, argv, c5chord_file):
         with pytest.raises(SystemExit) as exc:
             cli.main([arg.format(path=c5chord_file) for arg in argv])
