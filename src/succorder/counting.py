@@ -111,13 +111,8 @@ class BTable:
     Immutable once built.
     """
 
-    def __init__(self, graph: Graph, layers: tuple[dict[VertexSet, Fraction], ...]):
-        self.graph = graph
+    def __init__(self, layers: tuple[dict[VertexSet, Fraction], ...]):
         self._layers = layers
-
-    @property
-    def alpha(self) -> int:
-        return len(self._layers) - 1
 
     @property
     def layers(self) -> tuple[Mapping[VertexSet, Fraction], ...]:
@@ -149,7 +144,7 @@ def compute_b_table(g: Graph, universe: VertexSet | None = None) -> BTable:
     for layer, cur in _scaled_layers(g, universe):
         denom = scale**layer.k
         layers.append({mask: Fraction(num, denom) for mask, num in cur.items()})
-    return BTable(g, tuple(layers))
+    return BTable(tuple(layers))
 
 
 def b_permutation_sum(g: Graph, members: VertexSet) -> Fraction:
@@ -197,7 +192,8 @@ def _alternating_total(g: Graph, universe: VertexSet | None, required: VertexSet
     """Signed sum of w(I) over independent I in universe with required ⊆ I.
 
     The sign is (-1) to the power |I minus required|.  Accumulation runs
-    layer by layer, mask-ascending, entirely in scaled integers.
+    layer by layer, mask-ascending, entirely in scaled integers.  The sum is
+    a probability, so a value outside [0, 1] raises InternalCheckError.
     """
     scale = _scale_base(g.n)
     tsize = required.bit_count()
@@ -207,7 +203,9 @@ def _alternating_total(g: Graph, universe: VertexSet | None, required: VertexSet
     for k, acc in enumerate(layer_sums):
         sign = -1 if (k - tsize) & 1 else 1
         numer += sign * acc * scale ** (alpha - k)
-    return Fraction(numer, g.n * scale**alpha)
+    value = Fraction(numer, g.n * scale**alpha)
+    require_internal(0 <= value <= 1, f"signed weight sum {value} outside [0, 1]")
+    return value
 
 
 def sigma(g: Graph) -> SigmaResult:
@@ -218,7 +216,6 @@ def sigma(g: Graph) -> SigmaResult:
     asserted (a failure would mean an engine bug, not bad input).
     """
     sigma_prime = _alternating_total(g, None)
-    require_internal(0 <= sigma_prime <= 1, f"sigma' = {sigma_prime} outside [0, 1]")
     scaled = sigma_prime * math.factorial(g.n)
     require_internal(scaled.denominator == 1, f"n! * sigma' = {scaled} is not an integer")
     return SigmaResult(g.n, scaled.numerator, sigma_prime)
@@ -232,9 +229,7 @@ def pr_good(g: Graph, universe: VertexSet) -> Fraction:
     """
     if universe & ~g.full_mask:
         raise ValueError("universe mentions vertices outside the graph")
-    value = _alternating_total(g, universe)
-    require_internal(0 <= value <= 1, f"Pr(G_U) = {value} outside [0, 1]")
-    return value
+    return _alternating_total(g, universe)
 
 
 def pr_bad_via_mobius(g: Graph, members: VertexSet) -> Fraction:

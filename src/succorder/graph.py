@@ -20,10 +20,6 @@ MAX_VERTICES = 64
 VertexSet = int
 
 
-def bit(v: int) -> int:
-    return 1 << v
-
-
 def iter_vertices(mask: VertexSet) -> Iterator[int]:
     """Yield the vertices of a mask in increasing order."""
     while mask:
@@ -64,10 +60,10 @@ class Graph:
         for v, row in enumerate(self.adj):
             if row & ~full:
                 raise ValueError(f"adjacency of vertex {v} mentions vertices >= {self.n}")
-            if row & bit(v):
+            if row & (1 << v):
                 raise ValueError(f"self-loop at vertex {v}")
             for u in iter_vertices(row):
-                if not self.adj[u] & bit(v):
+                if not self.adj[u] & (1 << v):
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @property
@@ -90,8 +86,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            adj[u] |= bit(v)
-            adj[v] |= bit(u)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
 
@@ -203,6 +199,6 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, tuple[int, ...]]
     for v in old:
         row = 0
         for u in iter_vertices(g.adj[v] & keep):
-            row |= bit(new_index[u])
+            row |= 1 << new_index[u]
         adj.append(row)
     return Graph(len(old), tuple(adj)), old

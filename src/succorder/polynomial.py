@@ -31,7 +31,6 @@ from .errors import require_internal
 from .graph import (
     Graph,
     VertexSet,
-    bit,
     induced_subgraph,
     is_independent,
     iter_vertices,
@@ -52,10 +51,6 @@ class OrderingPolynomial:
     p_coeffs: tuple[Fraction, ...]
     f_coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.f_coeffs) - 1
-
     def f_at(self, x: int) -> int:
         """Evaluate F at an integer point (Horner)."""
         acc = 0
@@ -70,10 +65,6 @@ class BadDistribution:
 
     counts: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.counts) - 1
-
 
 @dataclass(frozen=True)
 class DeletionReport:
@@ -83,8 +74,9 @@ class DeletionReport:
     coefficientwise before the report is returned: U_S collects sets that
     meet S (weighted in G), R_S the reweighting of sets that survive.
     ``delta_b`` maps every independent set of G-S (in the original vertex
-    labels) to b_{G-S}(I) - b_G(I), computed both directly and by the
-    triangular recursion; the two must agree exactly.
+    labels) to b_{G-S}(I) - b_G(I), the direct difference of the two
+    b-recursions; the triangular recursion it must satisfy is checked set by
+    set, in scaled integers, before the report is returned.
     """
 
     removed: VertexSet
@@ -196,7 +188,7 @@ def _translate(mask: VertexSet, positions: tuple[int, ...]) -> VertexSet:
     """Map a subgraph-label mask back to original labels."""
     out = 0
     for i in iter_vertices(mask):
-        out |= bit(positions[i])
+        out |= 1 << positions[i]
     return out
 
 
@@ -207,10 +199,12 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
       * the coefficient identity P_G = P_{G'} - R_S + U_S;
       * a_{G'}(I) = a_G(I) - (|S| - |N_G[I] ∩ S|) for every independent I
         of G';
-      * agreement of delta_b computed directly (b_{G'} - b_G) and by the
-        triangular recursion
-        |N_{G'}[I]| Δb_I = sum_v Δb_{I\\v} + |N_G[I] ∩ S| b_G(I).
-    Any violation raises InternalCheckError.
+      * for every independent I of G', the triangular recursion
+        |N_{G'}[I]| Δb_I = sum_v Δb_{I\\v} + |N_G[I] ∩ S| b_G(I)
+        on Δb_I = b_{G'}(I) - b_G(I), with Δb_∅ = 0.  It is checked in
+        integers scaled by lcm(1..n)**|I|, set by set, on the direct
+        difference of the two passes.
+    Any violation raises InternalCheckError naming the degree or the set.
     """
     full = g.full_mask
     if removed & ~full:
@@ -222,12 +216,11 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     removed_size = removed.bit_count()
 
     # One pass over G: weight sums of the sets that meet S and of the sets
-    # that survive in G', plus b_G and N_G[I] of every survivor.
+    # that survive in G', plus the scaled b_G and N_G[I] of every survivor.
     meet_sums: list[int] = []
     kept_sums: list[int] = []
-    kept: dict[VertexSet, tuple[Fraction, VertexSet]] = {}
+    kept: dict[VertexSet, tuple[int, VertexSet]] = {}
     for layer, cur in _scaled_layers(g):
-        denom = scale**layer.k
         meets = stays = 0
         for nbhd, (mask, num) in zip(layer.nbhds, cur.items()):
             term = (n - nbhd.bit_count()) * num
@@ -235,40 +228,42 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
                 meets += term
             else:
                 stays += term
-                kept[mask] = (Fraction(num, denom), nbhd)
+                kept[mask] = (num, nbhd)
         meet_sums.append(meets)
         kept_sums.append(stays)
     p_g = _polynomial(n, [meets + stays for meets, stays in zip(meet_sums, kept_sums)])
     u_s = [Fraction(meets, n * scale**k) for k, meets in enumerate(meet_sums)]
 
     # One pass over G' in its own labels, translated back to those of G.
+    # delta[I] = (b_{G'}(I) - b_G(I)) * lcm(1..n)**|I|; lcm(1..n') divides
+    # lcm(1..n), so rescaling the G' value keeps it an integer.
     sub_n, sub_scale = sub.n, _scale_base(sub.n)
+    ratio = scale // sub_scale
     sub_sums: list[int] = []
     r_s: list[Fraction] = []
-    delta_direct: dict[VertexSet, Fraction] = {}
-    delta_recursive: dict[VertexSet, Fraction] = {0: Fraction(0)}
+    delta: dict[VertexSet, int] = {}
     for layer, cur in _scaled_layers(sub):
         k = layer.k
-        denom = sub_scale**k
+        ratio_k = ratio**k
         acc = 0
         for sub_nbhd, (sub_mask, num) in zip(layer.nbhds, cur.items()):
             nbhd_size = sub_nbhd.bit_count()
             acc += (sub_n - nbhd_size) * num
             orig_mask = _translate(sub_mask, old_labels)
-            b_orig, nbhd = kept[orig_mask]
+            num_g, nbhd = kept[orig_mask]
             overlap = (nbhd & removed).bit_count()
             require_internal(
                 sub_n - nbhd_size == n - nbhd.bit_count() - (removed_size - overlap),
                 f"outside-count mismatch after deletion for set {orig_mask:#x}",
             )
-            delta_direct[orig_mask] = Fraction(num, denom) - b_orig
-            if orig_mask:
-                child_sum = Fraction(0)
-                for v in iter_vertices(orig_mask):
-                    child_sum += delta_recursive[orig_mask ^ bit(v)]
-                delta_recursive[orig_mask] = (child_sum + overlap * b_orig) / nbhd_size
+            d = delta[orig_mask] = num * ratio_k - num_g
+            child_sum = sum(delta[orig_mask ^ (1 << v)] for v in iter_vertices(orig_mask))
+            require_internal(
+                nbhd_size * d == scale * child_sum + overlap * num_g if orig_mask else d == 0,
+                f"delta-b recursion fails for set {orig_mask:#x}",
+            )
         sub_sums.append(acc)
-        r_s.append(Fraction(acc, sub_n * denom) - Fraction(kept_sums[k], n * scale**k))
+        r_s.append(Fraction(acc, sub_n * sub_scale**k) - Fraction(kept_sums[k], n * scale**k))
     p_sub = _polynomial(sub_n, sub_sums)
 
     width = max(len(p_g.p_coeffs), len(p_sub.p_coeffs), len(r_s), len(u_s))
@@ -281,16 +276,11 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         rhs = coeff(p_sub.p_coeffs, j) - coeff(r_s, j) + coeff(u_s, j)
         require_internal(lhs == rhs, f"deletion identity fails at degree {j}: {lhs} != {rhs}")
 
-    require_internal(
-        delta_recursive == delta_direct,
-        "delta-b recursion disagrees with the direct difference",
-    )
-
     return DeletionReport(
         removed=removed,
         p_g=p_g,
         p_gprime=p_sub,
         r_s=tuple(r_s),
         u_s=tuple(u_s),
-        delta_b=delta_direct,
+        delta_b={mask: Fraction(d, scale ** mask.bit_count()) for mask, d in delta.items()},
     )

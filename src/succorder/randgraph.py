@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .graph import Graph, bit
+from .graph import Graph
 
 
 def random_connected_graph(n: int, density: float, seed: int) -> Graph:
@@ -23,8 +23,8 @@ def random_connected_graph(n: int, density: float, seed: int) -> Graph:
     adj = [0] * n
 
     def add_edge(u: int, v: int) -> None:
-        adj[u] |= bit(v)
-        adj[v] |= bit(u)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
 
     if n == 2:
         add_edge(0, 1)

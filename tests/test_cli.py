@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-from succorder import cli
+from succorder import cli, counting, eval_partial
 from succorder.errors import InternalCheckError, VerificationError
 
-from conftest import C5_CHORD_TEXT
+from conftest import C5_CHORD_TEXT, c5_chord
 
 
 def run_cli(*args, check=False):
@@ -283,6 +283,18 @@ class TestExitCodeMapping:
 
         monkeypatch.setattr(cli, "sigma", boom)
         assert cli.main(["count", c5chord_file]) == 2
+
+    def test_probability_range_check_maps_to_2(self, monkeypatch, c5chord_file):
+        layer_weights = counting._layer_weights
+
+        def tripled_empty_set(*args):
+            sums = layer_weights(*args)
+            return [3 * sums[0], *sums[1:]]
+
+        monkeypatch.setattr(counting, "_layer_weights", tripled_empty_set)
+        with pytest.raises(InternalCheckError, match=r"outside \[0, 1\]"):
+            eval_partial(c5_chord(), 0, 0b01101)
+        assert cli.main(["eval", c5chord_file, "--good", "0,2,3"]) == 2
 
     def test_verification_error_maps_to_3(self, monkeypatch, c5chord_file):
         def boom(_):

@@ -1,8 +1,9 @@
 import sys
+from fractions import Fraction
 
 import pytest
 
-from succorder import cli
+from succorder import cli, polynomial
 from succorder import (
     build_polynomial,
     delete_decompose,
@@ -13,6 +14,7 @@ from succorder import (
     iter_layers,
     mask_of,
     pr_good,
+    random_connected_graph,
     sigma,
 )
 
@@ -135,3 +137,19 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
         passes.clear()
         feature()
         assert len(passes) == expected
+
+
+def test_delete_decompose_builds_one_fraction_per_delta_b_entry(monkeypatch):
+    # one reduced Fraction per delta_b entry; the rest are per degree (P_G,
+    # P_G', R_S, U_S and the identity check), never per set
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(polynomial, "Fraction", counted)
+    g = random_connected_graph(14, 0.2, seed=5)
+    report = delete_decompose(g, mask_of([3]))
+    layers = len(report.p_g.p_coeffs)
+    assert len(built) <= len(report.delta_b) + 8 * layers

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from succorder import (
+    Graph,
     InternalCheckError,
     OrderingPolynomial,
     bad_distribution,
@@ -11,11 +12,14 @@ from succorder import (
     brute_event,
     brute_sigma,
     build_polynomial,
+    compute_b_table,
     delete_decompose,
     eval_at_minus_one,
     eval_indicator,
     eval_partial,
+    iter_vertices,
     mask_of,
+    polynomial,
     pr_good,
     random_connected_graph,
     sigma,
@@ -197,6 +201,53 @@ class TestDeleteDecompose:
     def test_delta_b_empty_set_is_zero(self):
         report = delete_decompose(cycle_graph(6), mask_of([0, 3]))
         assert report.delta_b[0] == 0
+
+    def test_delta_b_is_the_difference_of_b_tables(self, connected_catalog):
+        for i, g in enumerate(connected_catalog):
+            if g.n < 2:
+                continue
+            one = 1 << (i % g.n)
+            two = one | 1 << ((i + 1 + i % (g.n - 1)) % g.n)
+            for removed in (one, two) if g.n > 2 else (one,):
+                report = delete_decompose(g, removed)
+                b_g = compute_b_table(g)
+                old = list(iter_vertices(g.full_mask & ~removed))
+                sub = Graph.from_edges(
+                    len(old), [(old.index(u), old.index(v)) for u, v in g.edges() if u in old and v in old]
+                )
+                expected = {}
+                for mask, b in compute_b_table(sub).items():
+                    orig = mask_of(old[v] for v in iter_vertices(mask))
+                    expected[orig] = b - b_g[orig]
+                assert report.delta_b == expected, (g, removed)
+
+    def test_delta_b_check_fires_on_a_corrupt_b_value(self, monkeypatch):
+        scaled_layers = polynomial._scaled_layers
+        passes = []
+
+        def corrupt_second_pass(g):
+            passes.append(g)
+            for layer, cur in scaled_layers(g):
+                if len(passes) == 2 and layer.k == 2:
+                    mask = layer.sets[1]
+                    cur = {**cur, mask: cur[mask] + 1}
+                yield layer, cur
+
+        monkeypatch.setattr(polynomial, "_scaled_layers", corrupt_second_pass)
+        # C6 minus vertex 0 is the path 1-2-3-4-5; its second 2-set is {1, 4} in C6 labels
+        with pytest.raises(InternalCheckError, match="delta-b recursion fails for set 0x12"):
+            delete_decompose(cycle_graph(6), mask_of([0]))
+
+    def test_outside_count_check_fires_on_a_wrong_subgraph(self, monkeypatch):
+        induced_subgraph = polynomial.induced_subgraph
+
+        def with_extra_edge(g, keep):
+            sub, old = induced_subgraph(g, keep)
+            return Graph.from_edges(sub.n, sub.edges() + [(0, sub.n - 1)]), old
+
+        monkeypatch.setattr(polynomial, "induced_subgraph", with_extra_edge)
+        with pytest.raises(InternalCheckError, match="outside-count mismatch after deletion for set 0x2"):
+            delete_decompose(cycle_graph(6), mask_of([0]))
 
     def test_random_pairs(self):
         for i in range(25):
