@@ -227,8 +227,6 @@ def pr_good(g: Graph, universe: VertexSet) -> Fraction:
     A vertex is good when it is first or some neighbour precedes it.  Equals
     the signed sum of w(I) over independent I contained in ``universe``.
     """
-    if universe & ~g.full_mask:
-        raise ValueError("universe mentions vertices outside the graph")
     return _alternating_total(g, universe)
 
 

@@ -151,6 +151,8 @@ def parse_edge_list(text: str) -> Graph:
 
 def open_neighborhood(g: Graph, members: VertexSet) -> VertexSet:
     """Union of adj[v] over v in the set (members themselves may appear)."""
+    if members & ~g.full_mask:
+        raise ValueError("vertex set mentions vertices outside the graph")
     nb = 0
     for v in iter_vertices(members):
         nb |= g.adj[v]

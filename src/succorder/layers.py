@@ -48,6 +48,8 @@ def iter_layers(g: Graph, universe: VertexSet | None = None) -> Iterator[Layer]:
     """
     if universe is None:
         universe = g.full_mask
+    elif universe & ~g.full_mask:
+        raise ValueError("universe mentions vertices outside the graph")
     closed = [row | (1 << v) for v, row in enumerate(g.adj)]
     vertices = list(iter_vertices(universe))
     sets: tuple[VertexSet, ...] = (0,)

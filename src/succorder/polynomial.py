@@ -27,7 +27,7 @@ from .counting import (
     compute_b_table,
     weight,
 )
-from .errors import require_internal
+from .errors import InternalCheckError, require_internal
 from .graph import (
     Graph,
     VertexSet,
@@ -176,8 +176,7 @@ def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
     T is not independent there are no independent supersets and the value
     is 0.
     """
-    full = g.full_mask
-    if (bad_set | good_set) & ~full:
+    if (bad_set | good_set) & ~g.full_mask:
         raise ValueError("vertex set mentions vertices outside the graph")
     if not is_independent(g, bad_set):
         return Fraction(0)
@@ -193,17 +192,21 @@ def _translate(mask: VertexSet, positions: tuple[int, ...]) -> VertexSet:
 
 
 def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
-    """Decompose P_G against the graph with the vertex set ``removed`` deleted.
+    """Decompose P_G against G' = G - S, the graph with ``removed`` = S deleted.
 
-    Verifies, exactly:
+    The passes over G and G' run in lockstep, one layer of each resident.
+    G' is relabelled monotonically, so its layer k is G's layer k less the
+    sets meeting S, in order; the two are paired by position.  Verifies:
+      * the two enumerations agree set by set: each layer of G' has as many
+        sets as G's has outside S, each translating back to its partner, and
+        G' has no layer left over;
       * the coefficient identity P_G = P_{G'} - R_S + U_S;
       * a_{G'}(I) = a_G(I) - (|S| - |N_G[I] ∩ S|) for every independent I
         of G';
       * for every independent I of G', the triangular recursion
         |N_{G'}[I]| Δb_I = sum_v Δb_{I\\v} + |N_G[I] ∩ S| b_G(I)
-        on Δb_I = b_{G'}(I) - b_G(I), with Δb_∅ = 0.  It is checked in
-        integers scaled by lcm(1..n)**|I|, set by set, on the direct
-        difference of the two passes.
+        on Δb_I = b_{G'}(I) - b_G(I), with Δb_∅ = 0, checked exactly in
+        integers scaled by lcm(1..n)**|I| on the direct difference of the passes.
     Any violation raises InternalCheckError naming the degree or the set.
     """
     full = g.full_mask
@@ -213,57 +216,56 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         raise ValueError("cannot remove every vertex; the remainder must be nonempty")
     sub, old_labels = induced_subgraph(g, full & ~removed)
     n, scale = g.n, _scale_base(g.n)
+    sub_n, sub_scale = sub.n, _scale_base(sub.n)
+    ratio = scale // sub_scale
     removed_size = removed.bit_count()
 
-    # One pass over G: weight sums of the sets that meet S and of the sets
-    # that survive in G', plus the scaled b_G and N_G[I] of every survivor.
-    meet_sums: list[int] = []
-    kept_sums: list[int] = []
-    kept: dict[VertexSet, tuple[int, VertexSet]] = {}
-    for layer, cur in _scaled_layers(g):
+    # delta[I] = Δb_I * lcm(1..n)**|I|, an integer as lcm(1..n') divides lcm(1..n)
+    g_sums: list[int] = []
+    sub_sums: list[int] = []
+    r_s: list[Fraction] = []
+    u_s: list[Fraction] = []
+    delta_b: dict[VertexSet, Fraction] = {}
+    delta: dict[VertexSet, int] = {}
+    sub_pass = _scaled_layers(sub)
+    for k, (layer, cur) in enumerate(_scaled_layers(g)):
         meets = stays = 0
+        survivors = []
         for nbhd, (mask, num) in zip(layer.nbhds, cur.items()):
             term = (n - nbhd.bit_count()) * num
             if mask & removed:
                 meets += term
             else:
                 stays += term
-                kept[mask] = (num, nbhd)
-        meet_sums.append(meets)
-        kept_sums.append(stays)
-    p_g = _polynomial(n, [meets + stays for meets, stays in zip(meet_sums, kept_sums)])
-    u_s = [Fraction(meets, n * scale**k) for k, meets in enumerate(meet_sums)]
-
-    # One pass over G' in its own labels, translated back to those of G.
-    # delta[I] = (b_{G'}(I) - b_G(I)) * lcm(1..n)**|I|; lcm(1..n') divides
-    # lcm(1..n), so rescaling the G' value keeps it an integer.
-    sub_n, sub_scale = sub.n, _scale_base(sub.n)
-    ratio = scale // sub_scale
-    sub_sums: list[int] = []
-    r_s: list[Fraction] = []
-    delta: dict[VertexSet, int] = {}
-    for layer, cur in _scaled_layers(sub):
-        k = layer.k
-        ratio_k = ratio**k
+                survivors.append((mask, num, nbhd))
+        g_sums.append(meets + stays)
+        u_s.append(Fraction(meets, n * scale**k))
+        sub_layer, sub_cur = next(sub_pass, (None, {}))
+        kept, sub_kept = len(survivors), len(sub_cur)
+        require_internal(kept == sub_kept, f"layer {k}: G' has {sub_kept} sets, G {kept} outside S")
+        if sub_layer is None:
+            continue
+        ratio_k, denom = ratio**k, scale**k
+        prev, delta = delta, {}
         acc = 0
-        for sub_nbhd, (sub_mask, num) in zip(layer.nbhds, cur.items()):
+        pairs = zip(survivors, sub_layer.nbhds, sub_cur.items())
+        for (mask, num_g, nbhd), sub_nbhd, (sub_mask, num) in pairs:
+            if _translate(sub_mask, old_labels) != mask:
+                raise InternalCheckError(f"set {sub_mask:#x} of G' does not translate to {mask:#x}")
             nbhd_size = sub_nbhd.bit_count()
             acc += (sub_n - nbhd_size) * num
-            orig_mask = _translate(sub_mask, old_labels)
-            num_g, nbhd = kept[orig_mask]
             overlap = (nbhd & removed).bit_count()
-            require_internal(
-                sub_n - nbhd_size == n - nbhd.bit_count() - (removed_size - overlap),
-                f"outside-count mismatch after deletion for set {orig_mask:#x}",
-            )
-            d = delta[orig_mask] = num * ratio_k - num_g
-            child_sum = sum(delta[orig_mask ^ (1 << v)] for v in iter_vertices(orig_mask))
-            require_internal(
-                nbhd_size * d == scale * child_sum + overlap * num_g if orig_mask else d == 0,
-                f"delta-b recursion fails for set {orig_mask:#x}",
-            )
+            if sub_n - nbhd_size != n - nbhd.bit_count() - (removed_size - overlap):
+                raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
+            d = delta[mask] = num * ratio_k - num_g
+            child_sum = sum(prev[mask ^ (1 << v)] for v in iter_vertices(mask))
+            if nbhd_size * d != scale * child_sum + overlap * num_g if mask else d != 0:
+                raise InternalCheckError(f"delta-b recursion fails for set {mask:#x}")
+            delta_b[mask] = Fraction(d, denom)
         sub_sums.append(acc)
-        r_s.append(Fraction(acc, sub_n * sub_scale**k) - Fraction(kept_sums[k], n * scale**k))
+        r_s.append(Fraction(acc, sub_n * sub_scale**k) - Fraction(stays, n * denom))
+    require_internal(next(sub_pass, None) is None, "G' has more layers than G")
+    p_g = _polynomial(n, g_sums)
     p_sub = _polynomial(sub_n, sub_sums)
 
     width = max(len(p_g.p_coeffs), len(p_sub.p_coeffs), len(r_s), len(u_s))
@@ -277,10 +279,5 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         require_internal(lhs == rhs, f"deletion identity fails at degree {j}: {lhs} != {rhs}")
 
     return DeletionReport(
-        removed=removed,
-        p_g=p_g,
-        p_gprime=p_sub,
-        r_s=tuple(r_s),
-        u_s=tuple(u_s),
-        delta_b={mask: Fraction(d, scale ** mask.bit_count()) for mask, d in delta.items()},
+        removed=removed, p_g=p_g, p_gprime=p_sub, r_s=tuple(r_s), u_s=tuple(u_s), delta_b=delta_b
     )

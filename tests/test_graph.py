@@ -4,12 +4,18 @@ from succorder import (
     Graph,
     ParseError,
     a_value,
+    b_permutation_sum,
+    closed_neighborhood,
+    compute_b_table,
     induced_subgraph,
     is_connected,
     is_independent,
+    iter_layers,
     mask_of,
     open_neighborhood,
     parse_edge_list,
+    pr_bad_via_mobius,
+    pr_good,
     vertices_of,
 )
 
@@ -151,3 +157,23 @@ class TestInducedSubgraph:
             induced_subgraph(g, 0)
         with pytest.raises(ValueError):
             induced_subgraph(g, 1 << 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g, mask: list(iter_layers(g, mask)), id="iter_layers"),
+        compute_b_table,
+        pr_good,
+        open_neighborhood,
+        closed_neighborhood,
+        a_value,
+        is_independent,
+        b_permutation_sum,
+        pr_bad_via_mobius,
+    ],
+    ids=lambda call: call.__name__,
+)
+def test_vertex_mask_outside_the_graph_is_a_value_error(call):
+    with pytest.raises(ValueError, match="mentions vertices outside the graph"):
+        call(c5_chord(), 1 << 7)

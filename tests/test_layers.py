@@ -153,3 +153,27 @@ def test_delete_decompose_builds_one_fraction_per_delta_b_entry(monkeypatch):
     report = delete_decompose(g, mask_of([3]))
     layers = len(report.p_g.p_coeffs)
     assert len(built) <= len(report.delta_b) + 8 * layers
+
+
+@pytest.mark.parametrize(
+    "g, removed",
+    [(cycle_graph(6), mask_of([0])), (random_connected_graph(12, 0.2, seed=7), mask_of([1, 4, 9]))],
+    ids=["c6", "random12"],
+)
+def test_delete_decompose_runs_its_two_passes_in_lockstep(monkeypatch, g, removed):
+    scaled_layers = polynomial._scaled_layers
+    drawn = []
+
+    def logged(graph):
+        which = "G" if graph is g else "G'"
+        for layer, cur in scaled_layers(graph):
+            drawn.append((which, layer.k))
+            yield layer, cur
+
+    monkeypatch.setattr(polynomial, "_scaled_layers", logged)
+    delete_decompose(g, removed)
+    sub_layers = [k for which, k in drawn if which == "G'"]
+    assert sub_layers == list(range(len(sub_layers)))
+    for k in sub_layers:
+        if ("G", k + 1) in drawn:
+            assert drawn.index(("G'", k)) < drawn.index(("G", k + 1))

@@ -6,12 +6,14 @@ import pytest
 from succorder import (
     Graph,
     InternalCheckError,
+    Layer,
     OrderingPolynomial,
     bad_distribution,
     brute_distribution,
     brute_event,
     brute_sigma,
     build_polynomial,
+    cli,
     compute_b_table,
     delete_decompose,
     eval_at_minus_one,
@@ -37,6 +39,33 @@ from conftest import (
 )
 
 F = Fraction
+
+
+def edit_subgraph_layer(monkeypatch, k, edit):
+    """Pass layer k of delete_decompose's G' pass on C6 - {0} through ``edit``.
+
+    ``edit`` gets the layer's (mask, nbhd, scaled b) rows as a list and returns
+    the rows to yield; the G pass, over all six vertices, is left alone.
+    """
+    scaled_layers = polynomial._scaled_layers
+
+    def edited(g):
+        for layer, cur in scaled_layers(g):
+            if g.n == 5 and layer.k == k:
+                rows = edit(list(zip(layer.sets, layer.nbhds, cur.values())))
+                layer = Layer(k, tuple(row[0] for row in rows), tuple(row[1] for row in rows))
+                cur = {mask: num for mask, _, num in rows}
+            yield layer, cur
+
+    monkeypatch.setattr(polynomial, "_scaled_layers", edited)
+
+
+def dropping(index):
+    def drop(rows):
+        del rows[index]
+        return rows
+
+    return drop
 
 
 class TestBuildPolynomial:
@@ -236,6 +265,47 @@ class TestDeleteDecompose:
         monkeypatch.setattr(polynomial, "_scaled_layers", corrupt_second_pass)
         # C6 minus vertex 0 is the path 1-2-3-4-5; its second 2-set is {1, 4} in C6 labels
         with pytest.raises(InternalCheckError, match="delta-b recursion fails for set 0x12"):
+            delete_decompose(cycle_graph(6), mask_of([0]))
+
+    # C6 minus vertex 0 is the path 1-2-3-4-5: its only 3-set is {1, 3, 5},
+    # its last 2-set {3, 5} and its first singleton {1}, in C6 labels
+    @pytest.mark.parametrize(
+        "k, index, message",
+        [
+            (3, 0, "layer 3: G' has 0 sets, G 1 outside S"),
+            (2, -1, "layer 2: G' has 5 sets, G 6 outside S"),
+            (1, 0, "layer 1: G' has 4 sets, G 5 outside S"),
+        ],
+        ids=["maximal-3-set", "last-2-set", "first-singleton"],
+    )
+    def test_agreement_check_fires_on_a_dropped_set(self, monkeypatch, k, index, message):
+        edit_subgraph_layer(monkeypatch, k, dropping(index))
+        with pytest.raises(InternalCheckError, match=message):
+            delete_decompose(cycle_graph(6), mask_of([0]))
+
+    def test_cli_delete_exits_2_on_a_dropped_set(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "c6.txt"
+        path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        edit_subgraph_layer(monkeypatch, 2, dropping(-1))
+        assert cli.main(["delete", str(path), "--set", "0", "--json"]) == 2
+        assert "internal check failed: layer 2" in capsys.readouterr().err
+
+    def test_agreement_check_fires_on_a_misplaced_set(self, monkeypatch):
+        edit_subgraph_layer(monkeypatch, 2, lambda rows: [rows[1], rows[0], *rows[2:]])
+        # G' set {0, 3} is {1, 4} in C6 labels, paired with G's first survivor {1, 3}
+        with pytest.raises(InternalCheckError, match="set 0x9 of G' does not translate to 0xa"):
+            delete_decompose(cycle_graph(6), mask_of([0]))
+
+    def test_agreement_check_fires_on_a_leftover_layer(self, monkeypatch):
+        scaled_layers = polynomial._scaled_layers
+
+        def with_extra_layer(g):
+            yield from scaled_layers(g)
+            if g.n == 5:
+                yield Layer(4, (0b1111,), (0b11111,)), {0b1111: 1}
+
+        monkeypatch.setattr(polynomial, "_scaled_layers", with_extra_layer)
+        with pytest.raises(InternalCheckError, match="G' has more layers than G"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
     def test_outside_count_check_fires_on_a_wrong_subgraph(self, monkeypatch):
