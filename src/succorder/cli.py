@@ -7,11 +7,18 @@ Big integers are serialized as decimal strings and rationals as
 "numerator/denominator" in lowest terms, so machine consumers never lose
 precision.
 
+This module imports only ``errors`` and ``graph`` at load time; each
+command handler imports the engine modules it calls when it runs.  So
+``count`` loads ``layers`` and ``counting`` and nothing else of the
+package, ``poly``, ``eval`` and ``delete`` add ``polynomial``, ``regular``
+loads ``regular``, ``bench`` adds ``randgraph``, and only ``verify``
+imports the brute-force oracle, and with it numpy.
+
 The stderr ``elapsed: <x> ms`` line times only what follows argument
-parsing: reading the input, computing and printing.  It leaves out
-interpreter start-up and imports, which are most of the wall time of a
-run on a small graph.  Only ``verify`` imports the brute-force oracle,
-and with it numpy.
+parsing: reading the input, the handler's engine imports (about 6 ms for
+``count`` when no ``__pycache__`` exists), computing and printing.  It
+leaves out interpreter start-up and the imports made before parsing,
+which are most of the wall time of a run on a small graph.
 
 Exit codes: 0 success, 1 input error, 2 internal assertion failure,
 3 verification mismatch.
@@ -21,24 +28,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 import time
 
 from . import __version__
-from .counting import pr_good, sigma
 from .errors import InternalCheckError, ParseError, VerificationError, require_internal
 from .graph import Graph, _decimal, is_connected, mask_of, parse_edge_list, vertices_of
-from .polynomial import (
-    bad_distribution,
-    build_polynomial,
-    delete_decompose,
-    eval_at_minus_one,
-    eval_partial,
-)
-from .randgraph import random_connected_graph
-from .regular import RegularityProfile, detect_fully_regular
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -49,6 +45,8 @@ EXIT_MISMATCH = 3
 def _input_graph(args: argparse.Namespace) -> Graph:
     """The edge-list file named on the command line, or bench's seeded graph."""
     if args.command == "bench":
+        from .randgraph import random_connected_graph
+
         return random_connected_graph(args.n, args.density, args.seed)
     with open(args.path, encoding="utf-8") as handle:
         return parse_edge_list(handle.read())
@@ -77,11 +75,15 @@ def _parse_vertex_list(g: Graph, text: str | None) -> int:
 
 
 def _cmd_count(args: argparse.Namespace, g: Graph) -> dict:
+    from .counting import sigma
+
     result = sigma(g)
     return {"sigma": str(result.sigma), "sigma_prime": str(result.sigma_prime)}
 
 
 def _cmd_poly(args: argparse.Namespace, g: Graph) -> dict:
+    from .polynomial import bad_distribution, build_polynomial, eval_at_minus_one
+
     poly = build_polynomial(g)
     dist = bad_distribution(poly)
     result = eval_at_minus_one(poly)
@@ -95,6 +97,8 @@ def _cmd_poly(args: argparse.Namespace, g: Graph) -> dict:
 
 
 def _cmd_eval(args: argparse.Namespace, g: Graph) -> dict:
+    from .polynomial import eval_partial
+
     good = _parse_vertex_list(g, args.good)
     bad = _parse_vertex_list(g, args.bad)
     return {
@@ -105,6 +109,8 @@ def _cmd_eval(args: argparse.Namespace, g: Graph) -> dict:
 
 
 def _cmd_delete(args: argparse.Namespace, g: Graph) -> dict:
+    from .polynomial import delete_decompose
+
     removed = _parse_vertex_list(g, args.set)
     report = delete_decompose(g, removed)
     return {
@@ -117,6 +123,8 @@ def _cmd_delete(args: argparse.Namespace, g: Graph) -> dict:
 
 
 def _cmd_regular(args: argparse.Namespace, g: Graph) -> dict:
+    from .regular import RegularityProfile, detect_fully_regular
+
     verdict = detect_fully_regular(g)
     if isinstance(verdict, RegularityProfile):
         return {
@@ -137,7 +145,11 @@ def _cmd_regular(args: argparse.Namespace, g: Graph) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace, g: Graph) -> dict:
+    import random
+
+    from .counting import pr_good, sigma
     from .oracle import ORACLE_MAX_N, brute_distribution, brute_event, brute_sigma
+    from .polynomial import bad_distribution, build_polynomial, eval_partial
 
     limit = ORACLE_MAX_N if args.max_n is None else min(args.max_n, ORACLE_MAX_N)
     if g.n > limit:
@@ -186,6 +198,9 @@ def _cmd_verify(args: argparse.Namespace, g: Graph) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace, g: Graph) -> dict:
+    from .counting import sigma
+    from .polynomial import bad_distribution, build_polynomial, eval_at_minus_one
+
     start = time.perf_counter()
     result = sigma(g)
     elapsed_ms = (time.perf_counter() - start) * 1000.0

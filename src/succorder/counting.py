@@ -24,18 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from .errors import require_internal
-from .graph import (
-    Graph,
-    VertexSet,
-    a_value,
-    is_independent,
-    vertices_of,
-)
+from .graph import Graph, Record, VertexSet, a_value, is_independent, vertices_of
 from .layers import Layer, iter_layers
 
 #: Cap on |I| for the factorial-cost permutation-sum cross-check.
@@ -94,10 +87,10 @@ def _layer_weights(
     return sums
 
 
-@dataclass(frozen=True)
-class SigmaResult:
+class SigmaResult(Record):
     """Exact count of successive orderings and the matching probability."""
 
+    __slots__ = ("n", "sigma", "sigma_prime")
     n: int
     sigma: int
     sigma_prime: Fraction

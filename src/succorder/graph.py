@@ -9,8 +9,7 @@ representation would pay off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import ParseError
 
@@ -21,7 +20,9 @@ VertexSet = int
 
 
 def iter_vertices(mask: VertexSet) -> Iterator[int]:
-    """Yield the vertices of a mask in increasing order."""
+    """Yield the vertices of a mask in increasing order; a negative mask is a ValueError."""
+    if mask < 0:
+        raise ValueError(f"vertex mask must be nonnegative, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -39,19 +40,66 @@ def mask_of(vertices: Iterable[int]) -> VertexSet:
     return m
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A finite simple graph: vertex count plus per-vertex neighbour masks.
+class Record:
+    """Immutable value record; subclasses name their fields in ``__slots__``.
+
+    The constructor takes the fields positionally or by name.  Records
+    compare and hash field-wise, and only with records of the same type, so
+    a record never equals a tuple; assignment raises AttributeError.  Fields
+    listed in ``_hidden`` are left out of ``repr``.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = [name for name in self.__slots__ if name not in self._hidden]
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Graph(Record):
+    """A finite simple graph: vertex count ``n`` plus per-vertex neighbour masks ``adj``.
 
     ``adj[v]`` is the open neighbourhood of ``v``.  Instances are immutable
     and hashable, so they are safe to share across workers and usable as
     cache keys.
     """
 
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        super().__init__(n, adj)
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n}")
         if len(self.adj) != self.n:

@@ -17,21 +17,20 @@ layer of masks and neighbourhoods stays resident.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator
 
-from .graph import Graph, VertexSet, iter_vertices
+from .graph import Graph, Record, VertexSet, iter_vertices
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Record):
     """All independent sets of one cardinality, mask-ascending.
 
     ``nbhds[i]`` is the closed neighbourhood of ``sets[i]`` in the whole
     graph, whatever universe the enumeration was restricted to.
     """
 
+    __slots__ = ("k", "sets", "nbhds")
     k: int
     sets: tuple[VertexSet, ...]
     nbhds: tuple[VertexSet, ...]

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +54,10 @@ def _perm_blocks(n: int) -> Iterator[np.ndarray]:
     if n == 1:
         yield np.zeros((1, 1), dtype=np.int8)
         return
-    sub = np.array(list(itertools.permutations(range(n - 1))), dtype=np.int8)
+    # read as one flat stream: a list of (n-1)! tuples would be a large temporary
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n - 1)))
+    count = math.factorial(n - 1) * (n - 1)
+    sub = np.fromiter(flat, dtype=np.int8, count=count).reshape(-1, n - 1)
     for first in range(n):
         rest = np.array([v for v in range(n) if v != first], dtype=np.int8)
         block = np.empty((sub.shape[0], n), dtype=np.int8)

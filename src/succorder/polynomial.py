@@ -15,7 +15,6 @@ over independent sets, and that is what is implemented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import (
@@ -28,17 +27,10 @@ from .counting import (
     weight,
 )
 from .errors import InternalCheckError, require_internal
-from .graph import (
-    Graph,
-    VertexSet,
-    induced_subgraph,
-    is_independent,
-    iter_vertices,
-)
+from .graph import Graph, Record, VertexSet, induced_subgraph, is_independent, iter_vertices
 
 
-@dataclass(frozen=True)
-class OrderingPolynomial:
+class OrderingPolynomial(Record):
     """Coefficients of P_G(x) and of its integer companion F(x) = n! P_G(x).
 
     ``p_coeffs[j]`` is the total weight of independent sets of size j;
@@ -47,6 +39,7 @@ class OrderingPolynomial:
     Trailing zero coefficients are trimmed.
     """
 
+    __slots__ = ("n", "p_coeffs", "f_coeffs")
     n: int
     p_coeffs: tuple[Fraction, ...]
     f_coeffs: tuple[int, ...]
@@ -59,15 +52,14 @@ class OrderingPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class BadDistribution:
+class BadDistribution(Record):
     """counts[k] = number of orderings with exactly k bad vertices, k = 0..n."""
 
+    __slots__ = ("counts",)
     counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DeletionReport:
+class DeletionReport(Record):
     """Decomposition of P_G against P_{G-S} for a removed vertex set S.
 
     The identity P_G(x) = P_{G-S}(x) - R_S(x) + U_S(x) is verified
@@ -76,15 +68,18 @@ class DeletionReport:
     ``delta_b`` maps every independent set of G-S (in the original vertex
     labels) to b_{G-S}(I) - b_G(I), the direct difference of the two
     b-recursions; the triangular recursion it must satisfy is checked set by
-    set, in scaled integers, before the report is returned.
+    set, in scaled integers, before the report is returned.  ``repr`` leaves
+    ``delta_b`` out.
     """
 
+    __slots__ = ("removed", "p_g", "p_gprime", "r_s", "u_s", "delta_b")
+    _hidden = ("delta_b",)
     removed: VertexSet
     p_g: OrderingPolynomial
     p_gprime: OrderingPolynomial
     r_s: tuple[Fraction, ...]
     u_s: tuple[Fraction, ...]
-    delta_b: dict[VertexSet, Fraction] = field(repr=False)
+    delta_b: dict[VertexSet, Fraction]
 
 
 def build_polynomial(g: Graph) -> OrderingPolynomial:
@@ -200,13 +195,21 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
       * the two enumerations agree set by set: each layer of G' has as many
         sets as G's has outside S, each translating back to its partner, and
         G' has no layer left over;
-      * the coefficient identity P_G = P_{G'} - R_S + U_S;
       * a_{G'}(I) = a_G(I) - (|S| - |N_G[I] ∩ S|) for every independent I
         of G';
       * for every independent I of G', the triangular recursion
         |N_{G'}[I]| Δb_I = sum_v Δb_{I\\v} + |N_G[I] ∩ S| b_G(I)
         on Δb_I = b_{G'}(I) - b_G(I), with Δb_∅ = 0, checked exactly in
-        integers scaled by lcm(1..n)**|I| on the direct difference of the passes.
+        integers scaled by lcm(1..n)**|I| on the direct difference of the passes;
+      * the coefficient identity P_G = P_{G'} - R_S + U_S at every degree G'
+        reaches.  Its two sides share no sum: P_G and U_S are G's whole layer
+        sum and the part of it on sets meeting S, while R_S is summed set by
+        set over the survivors as the reweighting
+        w_{G'}(I) - w_G(I) = a_{G'}(I)/n' (b_G(I) + Δb_I) - a_G(I)/n b_G(I),
+        with a_{G'}(I) taken from the outside-count relation above.  A survivor
+        term lost from, or doubled in, G's layer sum fails it; a wrong b or
+        neighbourhood of a single survivor is caught first, by the Δb
+        recursion or the outside-count check of that set.
     Any violation raises InternalCheckError naming the degree or the set.
     """
     full = g.full_mask
@@ -229,16 +232,16 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     delta: dict[VertexSet, int] = {}
     sub_pass = _scaled_layers(sub)
     for k, (layer, cur) in enumerate(_scaled_layers(g)):
-        meets = stays = 0
+        total = meets = 0
         survivors = []
         for nbhd, (mask, num) in zip(layer.nbhds, cur.items()):
             term = (n - nbhd.bit_count()) * num
+            total += term
             if mask & removed:
                 meets += term
             else:
-                stays += term
-                survivors.append((mask, num, nbhd))
-        g_sums.append(meets + stays)
+                survivors.append((mask, num, nbhd, term))
+        g_sums.append(total)
         u_s.append(Fraction(meets, n * scale**k))
         sub_layer, sub_cur = next(sub_pass, (None, {}))
         kept, sub_kept = len(survivors), len(sub_cur)
@@ -247,37 +250,38 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
             continue
         ratio_k, denom = ratio**k, scale**k
         prev, delta = delta, {}
-        acc = 0
+        # acc sums a_{G'} b_{G'}, new_w and old_w the survivors' a_{G'} (b_G + Δb) and a_G b_G
+        acc = new_w = old_w = 0
         pairs = zip(survivors, sub_layer.nbhds, sub_cur.items())
-        for (mask, num_g, nbhd), sub_nbhd, (sub_mask, num) in pairs:
+        for (mask, num_g, nbhd, term), sub_nbhd, (sub_mask, num) in pairs:
             if _translate(sub_mask, old_labels) != mask:
                 raise InternalCheckError(f"set {sub_mask:#x} of G' does not translate to {mask:#x}")
             nbhd_size = sub_nbhd.bit_count()
             acc += (sub_n - nbhd_size) * num
             overlap = (nbhd & removed).bit_count()
-            if sub_n - nbhd_size != n - nbhd.bit_count() - (removed_size - overlap):
+            a_sub = n - nbhd.bit_count() - (removed_size - overlap)
+            if sub_n - nbhd_size != a_sub:
                 raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
             d = delta[mask] = num * ratio_k - num_g
             child_sum = sum(prev[mask ^ (1 << v)] for v in iter_vertices(mask))
             if nbhd_size * d != scale * child_sum + overlap * num_g if mask else d != 0:
                 raise InternalCheckError(f"delta-b recursion fails for set {mask:#x}")
             delta_b[mask] = Fraction(d, denom)
+            new_w += a_sub * (num_g + d)
+            old_w += term
         sub_sums.append(acc)
-        r_s.append(Fraction(acc, sub_n * sub_scale**k) - Fraction(stays, n * denom))
+        # degree k in units of 1 / (n n' lcm(1..n)**k)
+        reweight = n * new_w - sub_n * old_w
+        if sub_n * total != n * ratio_k * acc - reweight + sub_n * meets:
+            raise InternalCheckError(f"deletion identity fails at degree {k}")
+        r_s.append(Fraction(reweight, n * sub_n * denom))
     require_internal(next(sub_pass, None) is None, "G' has more layers than G")
-    p_g = _polynomial(n, g_sums)
-    p_sub = _polynomial(sub_n, sub_sums)
-
-    width = max(len(p_g.p_coeffs), len(p_sub.p_coeffs), len(r_s), len(u_s))
-
-    def coeff(seq, j):
-        return seq[j] if j < len(seq) else Fraction(0)
-
-    for j in range(width):
-        lhs = coeff(p_g.p_coeffs, j)
-        rhs = coeff(p_sub.p_coeffs, j) - coeff(r_s, j) + coeff(u_s, j)
-        require_internal(lhs == rhs, f"deletion identity fails at degree {j}: {lhs} != {rhs}")
 
     return DeletionReport(
-        removed=removed, p_g=p_g, p_gprime=p_sub, r_s=tuple(r_s), u_s=tuple(u_s), delta_b=delta_b
+        removed=removed,
+        p_g=_polynomial(n, g_sums),
+        p_gprime=_polynomial(sub_n, sub_sums),
+        r_s=tuple(r_s),
+        u_s=tuple(u_s),
+        delta_b=delta_b,
     )

@@ -10,26 +10,25 @@ and cross-validates against the general engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import require_internal
-from .graph import Graph, VertexSet
+from .graph import Graph, Record, VertexSet
 from .layers import iter_layers
 
 
-@dataclass(frozen=True)
-class RegularityProfile:
+class RegularityProfile(Record):
     """The constants a_0..a_alpha of a fully regular graph (a_0 = n)."""
 
+    __slots__ = ("alpha", "a_seq")
     alpha: int
     a_seq: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(Record):
     """Two same-size independent sets with different outside counts."""
 
+    __slots__ = ("size", "first_set", "first_value", "other_set", "other_value")
     size: int
     first_set: VertexSet
     first_value: int

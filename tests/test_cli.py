@@ -217,6 +217,36 @@ print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
+def importtime_tree(stderr):
+    """(depth, module) rows of a ``-X importtime`` report, children before parents."""
+    rows = []
+    for line in stderr.splitlines():
+        parts = line.split("|")
+        if len(parts) == 3 and parts[1].strip().isdigit():
+            name = parts[2][1:]
+            rows.append(((len(name) - len(name.lstrip())) // 2, name.strip()))
+    return rows
+
+
+def importers(rows, module):
+    """The chain of modules whose import pulled ``module`` in, innermost first."""
+    for i, (depth, name) in enumerate(rows):
+        if name == module:
+            chain = []
+            for parent_depth, parent in rows[i + 1:]:
+                if parent_depth < depth:
+                    chain.append(parent)
+                    depth = parent_depth
+            return chain
+    return None
+
+
+def module_run(*args):
+    return subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, check=True
+    )
+
+
 def imports_after_main(argv):
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORTS_AFTER_MAIN, json.dumps(argv)],
@@ -262,6 +292,22 @@ class TestImportPath:
         assert "succorder.cli" in imported
         assert not imported & {"numpy", "succorder.oracle"}
 
+    def test_count_loads_only_the_counting_engine(self, c5chord_file):
+        proc = module_run("-m", "succorder", "count", c5chord_file)
+        loaded = {name for _, name in importtime_tree(proc.stderr) if name.startswith("succorder")}
+        engine = {f"succorder.{m}" for m in ("errors", "graph", "layers", "counting")}
+        assert loaded == {"succorder", "succorder.cli"} | engine
+
+    @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+    def test_no_package_module_imports(self, module):
+        # every module but the oracle, whose numpy import is not the package's own
+        engine = "regular, randgraph, polynomial, counting, layers, graph, errors, cli"
+        proc = module_run("-c", f"from succorder import {engine}")
+        rows = importtime_tree(proc.stderr)
+        assert (0, "succorder.polynomial") in rows
+        chain = importers(rows, module) or []
+        assert not [name for name in chain if name.startswith("succorder")], chain
+
 
 class TestDeterminism:
     def test_byte_identical_documents(self, c5chord_file):
@@ -281,7 +327,7 @@ class TestExitCodeMapping:
         def boom(_):
             raise InternalCheckError("fabricated")
 
-        monkeypatch.setattr(cli, "sigma", boom)
+        monkeypatch.setattr(counting, "sigma", boom)
         assert cli.main(["count", c5chord_file]) == 2
 
     def test_probability_range_check_maps_to_2(self, monkeypatch, c5chord_file):
@@ -300,7 +346,7 @@ class TestExitCodeMapping:
         def boom(_):
             raise VerificationError("fabricated")
 
-        monkeypatch.setattr(cli, "sigma", boom)
+        monkeypatch.setattr(counting, "sigma", boom)
         assert cli.main(["count", c5chord_file]) == 3
 
     @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from succorder import (
@@ -177,3 +180,24 @@ class TestInducedSubgraph:
 def test_vertex_mask_outside_the_graph_is_a_value_error(call):
     with pytest.raises(ValueError, match="mentions vertices outside the graph"):
         call(c5_chord(), 1 << 7)
+
+
+# a subprocess with a timeout, so a mask that never empties fails instead of hanging
+_NEGATIVE_MASK = """
+from succorder.graph import iter_vertices, vertices_of
+try:
+    {call}
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("call", ["list(iter_vertices(-1))", "vertices_of(-6)"])
+def test_negative_mask_is_a_value_error(call):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEGATIVE_MASK.format(call=call)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.stdout.startswith("vertex mask must be nonnegative, got -"), proc.stderr

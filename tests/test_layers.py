@@ -141,7 +141,7 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
 
 def test_delete_decompose_builds_one_fraction_per_delta_b_entry(monkeypatch):
     # one reduced Fraction per delta_b entry; the rest are per degree (P_G,
-    # P_G', R_S, U_S and the identity check), never per set
+    # P_G', R_S and U_S), never per set
     built = []
 
     def counted(*args):

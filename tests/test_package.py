@@ -1,5 +1,8 @@
 """The package's public names, including the oracle's lazily imported ones."""
 
+import subprocess
+import sys
+
 import pytest
 
 import succorder
@@ -42,3 +45,15 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         succorder.no_such_name  # noqa: B018
     assert not hasattr(succorder, "oracle_max_n")
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import sys, succorder; print(*sorted(m for m in sys.modules if 'succorder' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["succorder"]
+
+
+def test_names_and_submodules_resolve_on_first_lookup():
+    assert succorder.graph.iter_vertices is succorder.iter_vertices
+    assert succorder.polynomial.DeletionReport is succorder.DeletionReport
+    assert {"Graph", "sigma", "brute_sigma"} <= set(dir(succorder))

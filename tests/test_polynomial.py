@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -41,17 +42,18 @@ from conftest import (
 F = Fraction
 
 
-def edit_subgraph_layer(monkeypatch, k, edit):
+def edit_subgraph_layer(monkeypatch, k, edit, n=5):
     """Pass layer k of delete_decompose's G' pass on C6 - {0} through ``edit``.
 
     ``edit`` gets the layer's (mask, nbhd, scaled b) rows as a list and returns
-    the rows to yield; the G pass, over all six vertices, is left alone.
+    the rows to yield; the G pass, over all six vertices, is left alone.  With
+    ``n=6`` it is the G pass that is edited, and G' that is left alone.
     """
     scaled_layers = polynomial._scaled_layers
 
     def edited(g):
         for layer, cur in scaled_layers(g):
-            if g.n == 5 and layer.k == k:
+            if g.n == n and layer.k == k:
                 rows = edit(list(zip(layer.sets, layer.nbhds, cur.values())))
                 layer = Layer(k, tuple(row[0] for row in rows), tuple(row[1] for row in rows))
                 cur = {mask: num for mask, _, num in rows}
@@ -307,6 +309,37 @@ class TestDeleteDecompose:
         monkeypatch.setattr(polynomial, "_scaled_layers", with_extra_layer)
         with pytest.raises(InternalCheckError, match="G' has more layers than G"):
             delete_decompose(cycle_graph(6), mask_of([0]))
+
+    # C6's 2-sets that miss vertex 0, mask-ascending: {1, 3}, {1, 4}, {2, 4}, ...
+    @pytest.mark.parametrize(
+        "target, edit, message",
+        [
+            (0b1010, lambda mask, nbhd, b: (mask, nbhd, b + 1), "delta-b recursion fails"),
+            (0b10100, lambda mask, nbhd, b: (mask, nbhd & ~0b100000, b), "outside-count mismatch"),
+        ],
+        ids=["b", "neighbourhood"],
+    )
+    def test_per_set_checks_catch_a_corrupt_survivor_in_g(self, monkeypatch, target, edit, message):
+        # a survivor's G term enters P_G, and through it R_S, so the identity alone
+        # would balance; the check of that set fires instead
+        def corrupt(rows):
+            return [edit(*row) if row[0] == target else row for row in rows]
+
+        edit_subgraph_layer(monkeypatch, 2, corrupt, n=6)
+        with pytest.raises(InternalCheckError, match=f"{message}.* for set {target:#x}$"):
+            delete_decompose(cycle_graph(6), mask_of([0]))
+
+    def test_identity_check_fires_on_a_survivor_term_counted_in_u_s(self):
+        # a source mutant that adds each survivor's G term to U_S's sum as well:
+        # every per-set check passes, and only the identity sees U_S + P_G' - R_S != P_G
+        source = inspect.getsource(polynomial.delete_decompose)
+        line = "                survivors.append((mask, num, nbhd, term))\n"
+        mutant = source.replace(line, line + "                meets += term\n")
+        assert mutant != source
+        namespace = dict(vars(polynomial))
+        exec(compile(mutant, polynomial.__file__, "exec"), namespace)
+        with pytest.raises(InternalCheckError, match="deletion identity fails at degree 0"):
+            namespace["delete_decompose"](cycle_graph(6), mask_of([0]))
 
     def test_outside_count_check_fires_on_a_wrong_subgraph(self, monkeypatch):
         induced_subgraph = polynomial.induced_subgraph
