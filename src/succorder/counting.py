@@ -6,18 +6,18 @@ independent sets I, each weighted by w(I) = a(I)/n * b(I) where a(I) is the
 number of vertices outside the closed neighbourhood of I and b(I) is a
 recursively defined rational correction factor.
 
-All arithmetic is exact.  The hot path scales b-values by lcm(1..n)**|I|,
-which turns the recursion into pure big-integer work; public surfaces
-expose ordinary ``fractions.Fraction`` values.  Because sigma(G) reaches
-n!-scale and the alternating sum cancels heavily, the final
-"n! * sigma' is an integer in [0, n!]" assertion doubles as a free
-correctness check.
+All arithmetic is exact.  The hot path works on B(I) = n! b(I), the number
+of orderings in which every vertex of I comes before all of its neighbours,
+so the recursion and the weights are pure big-integer work no wider than
+n! times n; public surfaces expose ordinary ``fractions.Fraction`` values.
+Because sigma(G) reaches n!-scale and the alternating sum cancels heavily,
+the final "n! * sigma' is an integer in [0, n!]" assertion doubles as a
+free correctness check.
 
-Every feature here runs on one pass of ``layers.iter_layers``: each layer
-carries, in ``Layer.nbhds``, the closed neighbourhood N[I] of every set, so
-|N[I]| for the recursion and a(I) = n - |N[I]| for the weights are read
-from the pass, never recomputed.  Only one previous layer of masks,
-neighbourhoods and scaled b-values stays resident.
+Every feature here runs on one pass of ``layers.iter_layers``, which
+carries, per layer, each set's closed neighbourhood N[I] and count B(I),
+and the layer's weight W_k = sum of a(I) B(I); nothing is recomputed
+downstream, and only one previous layer stays resident.
 """
 
 from __future__ import annotations
@@ -29,62 +29,28 @@ from fractions import Fraction
 
 from .errors import require_internal
 from .graph import Graph, Record, VertexSet, a_value, is_independent, vertices_of
-from .layers import Layer, iter_layers
+from .layers import iter_layers
 
 #: Cap on |I| for the factorial-cost permutation-sum cross-check.
 PERMUTATION_SUM_MAX = 8
 
 
-def _scale_base(n: int) -> int:
-    """lcm(1..n); every closed-neighbourhood size divides it."""
-    return math.lcm(*range(1, n + 1))
-
-
-def _scaled_layers(
-    g: Graph, universe: VertexSet | None = None
-) -> Iterator[tuple[Layer, dict[VertexSet, int]]]:
-    """Layered b-recursion over independent sets contained in ``universe``.
-
-    Yields ``(layer, {mask: num})`` where ``num = b(mask) * lcm(1..n)**k``
-    is an exact integer; the dict follows ``layer.sets`` in order, so it
-    zips with ``layer.nbhds``.  |N[mask]| is read from the layer, and
-    neighbourhoods are always those of the full graph: the universe only
-    restricts which sets are enumerated.  Only the previous layer's
-    b-values are retained.
-    """
-    scale = _scale_base(g.n)
-    prev: dict[VertexSet, int] = {}
-    for layer in iter_layers(g, universe):
-        if layer.k == 0:
-            cur = {0: 1}
-        else:
-            cur = {}
-            for members, nbhd in zip(layer.sets, layer.nbhds):
-                child_sum = 0
-                rest = members
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    child_sum += prev[members ^ low]
-                cur[members] = (scale // nbhd.bit_count()) * child_sum
-        yield layer, cur
-        prev = cur
-
-
 def _layer_weights(
     g: Graph, universe: VertexSet | None = None, required: VertexSet = 0
 ) -> list[int]:
-    """Per layer k, the sum of a(I) * b(I) * lcm(1..n)**k over the layer's
-    independent sets I within ``universe`` that contain ``required``."""
+    """Per layer k, the sum of a(I) * n! * b(I) over the layer's independent
+    sets I within ``universe`` that contain ``required``."""
+    if not required:
+        return [layer.weight for layer in iter_layers(g, universe)]
     n = g.n
-    sums = []
-    for layer, cur in _scaled_layers(g, universe):
-        acc = 0
-        for nbhd, (mask, num) in zip(layer.nbhds, cur.items()):
-            if not required & ~mask:
-                acc += (n - nbhd.bit_count()) * num
-        sums.append(acc)
-    return sums
+    return [
+        sum(
+            (n - nbhd.bit_count()) * count
+            for mask, nbhd, count in zip(layer.sets, layer.nbhds, layer.counts)
+            if not required & ~mask
+        )
+        for layer in iter_layers(g, universe)
+    ]
 
 
 class SigmaResult(Record):
@@ -132,12 +98,11 @@ def compute_b_table(g: Graph, universe: VertexSet | None = None) -> BTable:
     b(empty) = 1 and for nonempty I,
     b(I) = (1 / |N[I]|) * sum over v in I of b(I minus v).
     """
-    scale = _scale_base(g.n)
-    layers = []
-    for layer, cur in _scaled_layers(g, universe):
-        denom = scale**layer.k
-        layers.append({mask: Fraction(num, denom) for mask, num in cur.items()})
-    return BTable(tuple(layers))
+    nfact = math.factorial(g.n)
+    return BTable(tuple(
+        {mask: Fraction(count, nfact) for mask, count in zip(layer.sets, layer.counts)}
+        for layer in iter_layers(g, universe)
+    ))
 
 
 def b_permutation_sum(g: Graph, members: VertexSet) -> Fraction:
@@ -185,18 +150,15 @@ def _alternating_total(g: Graph, universe: VertexSet | None, required: VertexSet
     """Signed sum of w(I) over independent I in universe with required ⊆ I.
 
     The sign is (-1) to the power |I minus required|.  Accumulation runs
-    layer by layer, mask-ascending, entirely in scaled integers.  The sum is
-    a probability, so a value outside [0, 1] raises InternalCheckError.
+    layer by layer, mask-ascending, entirely in integers scaled by n * n!.
+    The sum is a probability, so a value outside [0, 1] raises
+    InternalCheckError.
     """
-    scale = _scale_base(g.n)
     tsize = required.bit_count()
-    layer_sums = _layer_weights(g, universe, required)
-    alpha = len(layer_sums) - 1
     numer = 0
-    for k, acc in enumerate(layer_sums):
-        sign = -1 if (k - tsize) & 1 else 1
-        numer += sign * acc * scale ** (alpha - k)
-    value = Fraction(numer, g.n * scale**alpha)
+    for k, acc in enumerate(_layer_weights(g, universe, required)):
+        numer += -acc if (k - tsize) & 1 else acc
+    value = Fraction(numer, g.n * math.factorial(g.n))
     require_internal(0 <= value <= 1, f"signed weight sum {value} outside [0, 1]")
     return value
 

@@ -1,25 +1,35 @@
-"""Duplicate-free enumeration of independent sets, streamed by cardinality.
+"""The one layered pass: independent sets by cardinality, with their counts.
 
 Sets are generated by canonical extension: a set is extended only by
 vertices greater than its maximum that avoid its closed neighbourhood, so
 every independent set is produced exactly once, from its own
 maximum-element-removed parent.  Children are built vertex by vertex, each
-from the parents lying below that vertex in mask order, so every layer comes
-out in strictly increasing mask order without a sort; that keeps golden
-files and downstream accumulation orders stable.
+from the parents below that vertex in mask order, so every layer comes out
+mask-ascending without a sort, which keeps downstream sums in a stable order.
 
-Each set carries its closed neighbourhood N[I] in the whole graph,
-``Layer.nbhds``, built as N[I ∪ {v}] = N[I] | N[v]; a(I) = n - |N[I]| is
-read from it, so no consumer recomputes a neighbourhood.  Only one previous
-layer of masks and neighbourhoods stays resident.
+Each set I carries its closed neighbourhood N[I] in the whole graph, built as
+N[I ∪ {v}] = N[I] | N[v], and its count B(I) = n! b(I): the number of
+orderings in which every vertex of I precedes all of its neighbours.  In
+those the first vertex of N[I] is some v in I, which is first in 1/|N[I]| of
+the orderings counted by B(I minus v); so |N[I]| B(I) = sum over v in I of
+B(I minus v), with B(empty) = n!.  A child's sum starts from its generating
+parent's count.  Each layer carries its weight W_k = sum of a(I) B(I), with
+a(I) = n - |N[I]|.  B(I) is taken by floor division; n sum B - W_k, which is
+sum |N[I]| B(I), must equal the sum of the child sums, and differs exactly
+when a division left a remainder.  On a whole-graph pass every J in layer k
+lies in a(J) sets of layer k + 1, so those child sums add up to W_k and the
+top layer has W = 0; a child lost or doubled fails this.  Either check
+raises InternalCheckError.  Only one previous layer stays resident.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import islice
 
+from .errors import InternalCheckError
 from .graph import Graph, Record, VertexSet, iter_vertices
 
 
@@ -27,13 +37,17 @@ class Layer(Record):
     """All independent sets of one cardinality, mask-ascending.
 
     ``nbhds[i]`` is the closed neighbourhood of ``sets[i]`` in the whole
-    graph, whatever universe the enumeration was restricted to.
+    graph, whatever universe the enumeration was restricted to; ``counts[i]``
+    is n! b(sets[i]), and ``weight`` is the sum of a(I) n! b(I) over the
+    layer, with n the vertex count of the whole graph.
     """
 
-    __slots__ = ("k", "sets", "nbhds")
+    __slots__ = ("k", "sets", "nbhds", "counts", "weight")
     k: int
     sets: tuple[VertexSet, ...]
     nbhds: tuple[VertexSet, ...]
+    counts: tuple[int, ...]
+    weight: int
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -49,39 +63,57 @@ def iter_layers(g: Graph, universe: VertexSet | None = None) -> Iterator[Layer]:
         universe = g.full_mask
     elif universe & ~g.full_mask:
         raise ValueError("universe mentions vertices outside the graph")
+    n = g.n
+    whole = universe == g.full_mask
     closed = [row | (1 << v) for v, row in enumerate(g.adj)]
     vertices = list(iter_vertices(universe))
-    sets: tuple[VertexSet, ...] = (0,)
-    nbhds: tuple[VertexSet, ...] = (0,)
+    sets, nbhds, counts = (0,), (0,), (math.factorial(n),)
+    weight = n * counts[0]
     k = 0
     while sets:
-        yield Layer(k, sets, nbhds)
-        sets, nbhds = _children(sets, nbhds, vertices, closed)
+        yield Layer(k, sets, nbhds, counts, weight)
+        parent_weight = weight
+        children = _children(sets, nbhds, counts, vertices, closed, n)
+        sets, nbhds, counts, child_sums, total, weight = children
         k += 1
+        if n * total - weight != child_sums:
+            raise InternalCheckError(f"layer {k}: a count is not its child sum over |N[I]|")
+        if whole and child_sums != parent_weight:
+            raise InternalCheckError(f"layer {k}: child sums differ from layer {k - 1}'s weight")
 
 
 def _children(
-    sets: tuple[VertexSet, ...],
-    nbhds: tuple[VertexSet, ...],
-    vertices: list[int],
-    closed: list[VertexSet],
-) -> tuple[tuple[VertexSet, ...], tuple[VertexSet, ...]]:
-    """The next layer's sets and neighbourhoods, mask-ascending.
-
-    Children with maximum v come after all children with a smaller maximum,
-    and among themselves in the order of their parents.
-    """
-    child_sets: list[VertexSet] = []
-    child_nbhds: list[VertexSet] = []
+    sets: tuple, nbhds: tuple, counts: tuple, vertices: list, closed: list, n: int
+) -> tuple:
+    """The next layer's sets, neighbourhoods and counts, then the sums of its
+    child sums, of its counts and of a(I) times its counts.  Children with
+    maximum v follow all children with a smaller maximum, in parent order."""
+    count_of = dict(zip(sets, counts))
+    child_sets, child_nbhds, child_counts = [], [], []
+    child_sums = weight = 0
     for v in vertices:
         low = 1 << v
         closed_v = closed[v]
         # the parents whose maximum lies below v are a prefix of the layer
-        for members, nbhd in islice(zip(sets, nbhds), bisect_left(sets, low)):
-            if not nbhd & low:
-                child_sets.append(members | low)
-                child_nbhds.append(nbhd | closed_v)
-    return tuple(child_sets), tuple(child_nbhds)
+        for members, nbhd, count in islice(zip(sets, nbhds, counts), bisect_left(sets, low)):
+            if nbhd & low:
+                continue
+            child = members | low
+            child_nbhd = nbhd | closed_v
+            child_sum, rest = count, members
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                child_sum += count_of[child ^ bit]
+            size = child_nbhd.bit_count()
+            child_count = child_sum // size
+            child_sets.append(child)
+            child_nbhds.append(child_nbhd)
+            child_counts.append(child_count)
+            child_sums += child_sum
+            weight += (n - size) * child_count
+    total = sum(child_counts)
+    return tuple(child_sets), tuple(child_nbhds), tuple(child_counts), child_sums, total, weight
 
 
 def independence_number(g: Graph) -> int:

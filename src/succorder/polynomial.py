@@ -21,13 +21,12 @@ from .counting import (
     SigmaResult,
     _alternating_total,
     _layer_weights,
-    _scale_base,
-    _scaled_layers,
     compute_b_table,
     weight,
 )
 from .errors import InternalCheckError, require_internal
-from .graph import Graph, Record, VertexSet, induced_subgraph, is_independent, iter_vertices
+from .graph import Graph, Record, VertexSet, induced_subgraph, is_independent
+from .layers import iter_layers
 
 
 class OrderingPolynomial(Record):
@@ -68,8 +67,8 @@ class DeletionReport(Record):
     ``delta_b`` maps every independent set of G-S (in the original vertex
     labels) to b_{G-S}(I) - b_G(I), the direct difference of the two
     b-recursions; the triangular recursion it must satisfy is checked set by
-    set, in scaled integers, before the report is returned.  ``repr`` leaves
-    ``delta_b`` out.
+    set, in integers scaled by n!, before the report is returned.  ``repr``
+    leaves ``delta_b`` out.
     """
 
     __slots__ = ("removed", "p_g", "p_gprime", "r_s", "u_s", "delta_b")
@@ -88,26 +87,22 @@ def build_polynomial(g: Graph) -> OrderingPolynomial:
 
 
 def _polynomial(n: int, layer_sums: list[int]) -> OrderingPolynomial:
-    """P_G and F from the per-layer sums of a(I) * b(I) * lcm(1..n)**k.
+    """P_G and F from the per-layer sums W_k of a(I) * n! * b(I).
 
-    Integrality and nonnegativity of every F coefficient are asserted; a
-    failure would signal an arithmetic bug.
+    F's coefficient at degree k is W_k / n; its integrality and
+    nonnegativity are asserted, and a failure would signal an arithmetic bug.
     """
-    scale = _scale_base(n)
     nfact = math.factorial(n)
-    p: list[Fraction] = []
     f: list[int] = []
     for k, layer_sum in enumerate(layer_sums):
-        p.append(Fraction(layer_sum, n * scale**k))
-        c, rem = divmod(nfact * layer_sum, n * scale**k)
+        c, rem = divmod(layer_sum, n)
         require_internal(rem == 0, f"F coefficient at degree {k} is not integral")
         require_internal(c >= 0, f"F coefficient at degree {k} is negative")
         f.append(c)
-    require_internal(p[0] == 1, "constant coefficient of P_G must be 1")
+    require_internal(f[0] == nfact, "constant coefficient of P_G must be 1")
     while len(f) > 1 and f[-1] == 0:
         f.pop()
-        p.pop()
-    return OrderingPolynomial(n, tuple(p), tuple(f))
+    return OrderingPolynomial(n, tuple(Fraction(c, nfact) for c in f), tuple(f))
 
 
 def eval_at_minus_one(poly: OrderingPolynomial) -> SigmaResult:
@@ -178,20 +173,25 @@ def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
     return _alternating_total(g, bad_set | good_set, required=bad_set)
 
 
-def _translate(mask: VertexSet, positions: tuple[int, ...]) -> VertexSet:
-    """Map a subgraph-label mask back to original labels."""
-    out = 0
-    for i in iter_vertices(mask):
-        out |= 1 << positions[i]
-    return out
+def _translation_tables(positions: tuple[int, ...]) -> list[tuple[int, list[VertexSet]]]:
+    """Per byte of a G' mask, its shift and the G mask of each of its 256 values."""
+    tables = []
+    for shift in range(0, len(positions), 8):
+        table = [0]
+        for p in positions[shift : shift + 8]:
+            bit = 1 << p
+            table += [t | bit for t in table]
+        tables.append((shift, table))
+    return tables
 
 
 def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     """Decompose P_G against G' = G - S, the graph with ``removed`` = S deleted.
 
-    The passes over G and G' run in lockstep, one layer of each resident.
-    G' is relabelled monotonically, so its layer k is G's layer k less the
-    sets meeting S, in order; the two are paired by position.  Verifies:
+    The passes over G and G' run in lockstep, one layer of each resident,
+    carrying the counts n! b_G(I) and n'! b_{G'}(I).  G' is relabelled
+    monotonically, so its layer k is G's layer k less the sets meeting S, in
+    order; the two are paired by position.  Verifies:
       * the two enumerations agree set by set: each layer of G' has as many
         sets as G's has outside S, each translating back to its partner, and
         G' has no layer left over;
@@ -200,15 +200,17 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
       * for every independent I of G', the triangular recursion
         |N_{G'}[I]| Δb_I = sum_v Δb_{I\\v} + |N_G[I] ∩ S| b_G(I)
         on Δb_I = b_{G'}(I) - b_G(I), with Δb_∅ = 0, checked exactly in
-        integers scaled by lcm(1..n)**|I| on the direct difference of the passes;
+        integers scaled by n! on the direct difference of the two passes'
+        counts, n! b_G(I) and (n!/n'!) n'! b_{G'}(I);
       * the coefficient identity P_G = P_{G'} - R_S + U_S at every degree G'
-        reaches.  Its two sides share no sum: P_G and U_S are G's whole layer
-        sum and the part of it on sets meeting S, while R_S is summed set by
-        set over the survivors as the reweighting
+        reaches.  Its two sides share no sum: P_G is G's layer weight as the
+        pass accumulated it, while U_S and R_S are summed here set by set,
+        U_S over the sets meeting S and R_S over the survivors as the
+        reweighting
         w_{G'}(I) - w_G(I) = a_{G'}(I)/n' (b_G(I) + Δb_I) - a_G(I)/n b_G(I),
-        with a_{G'}(I) taken from the outside-count relation above.  A survivor
-        term lost from, or doubled in, G's layer sum fails it; a wrong b or
-        neighbourhood of a single survivor is caught first, by the Δb
+        with a_{G'}(I) taken from the outside-count relation above.  A term
+        the pass lost from, or doubled in, G's layer weight fails it; a wrong
+        b or neighbourhood of a single survivor is caught first, by the Δb
         recursion or the outside-count check of that set.
     Any violation raises InternalCheckError naming the degree or the set.
     """
@@ -218,43 +220,46 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     if removed == full:
         raise ValueError("cannot remove every vertex; the remainder must be nonempty")
     sub, old_labels = induced_subgraph(g, full & ~removed)
-    n, scale = g.n, _scale_base(g.n)
-    sub_n, sub_scale = sub.n, _scale_base(sub.n)
-    ratio = scale // sub_scale
+    n, sub_n = g.n, sub.n
+    nfact = math.factorial(n)
+    ratio = nfact // math.factorial(sub_n)
     removed_size = removed.bit_count()
+    tables = _translation_tables(old_labels)
 
-    # delta[I] = Δb_I * lcm(1..n)**|I|, an integer as lcm(1..n') divides lcm(1..n)
+    # delta[I] = n! Δb_I
     g_sums: list[int] = []
     sub_sums: list[int] = []
     r_s: list[Fraction] = []
     u_s: list[Fraction] = []
     delta_b: dict[VertexSet, Fraction] = {}
     delta: dict[VertexSet, int] = {}
-    sub_pass = _scaled_layers(sub)
-    for k, (layer, cur) in enumerate(_scaled_layers(g)):
-        total = meets = 0
+    sub_pass = iter_layers(sub)
+    for k, layer in enumerate(iter_layers(g)):
+        total, meets = layer.weight, 0
         survivors = []
-        for nbhd, (mask, num) in zip(layer.nbhds, cur.items()):
+        for mask, nbhd, num in zip(layer.sets, layer.nbhds, layer.counts):
             term = (n - nbhd.bit_count()) * num
-            total += term
             if mask & removed:
                 meets += term
             else:
                 survivors.append((mask, num, nbhd, term))
         g_sums.append(total)
-        u_s.append(Fraction(meets, n * scale**k))
-        sub_layer, sub_cur = next(sub_pass, (None, {}))
-        kept, sub_kept = len(survivors), len(sub_cur)
+        u_s.append(Fraction(meets, n * nfact))
+        sub_layer = next(sub_pass, None)
+        kept, sub_kept = len(survivors), len(sub_layer or ())
         require_internal(kept == sub_kept, f"layer {k}: G' has {sub_kept} sets, G {kept} outside S")
         if sub_layer is None:
             continue
-        ratio_k, denom = ratio**k, scale**k
         prev, delta = delta, {}
-        # acc sums a_{G'} b_{G'}, new_w and old_w the survivors' a_{G'} (b_G + Δb) and a_G b_G
+        # acc sums a_{G'} n'! b_{G'}; new_w and old_w sum the survivors'
+        # a_{G'} n! (b_G + Δb) and a_G n! b_G
         acc = new_w = old_w = 0
-        pairs = zip(survivors, sub_layer.nbhds, sub_cur.items())
-        for (mask, num_g, nbhd, term), sub_nbhd, (sub_mask, num) in pairs:
-            if _translate(sub_mask, old_labels) != mask:
+        pairs = zip(survivors, sub_layer.sets, sub_layer.nbhds, sub_layer.counts)
+        for (mask, num_g, nbhd, term), sub_mask, sub_nbhd, num in pairs:
+            translated = 0
+            for shift, table in tables:
+                translated |= table[sub_mask >> shift & 255]
+            if translated != mask:
                 raise InternalCheckError(f"set {sub_mask:#x} of G' does not translate to {mask:#x}")
             nbhd_size = sub_nbhd.bit_count()
             acc += (sub_n - nbhd_size) * num
@@ -262,19 +267,23 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
             a_sub = n - nbhd.bit_count() - (removed_size - overlap)
             if sub_n - nbhd_size != a_sub:
                 raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
-            d = delta[mask] = num * ratio_k - num_g
-            child_sum = sum(prev[mask ^ (1 << v)] for v in iter_vertices(mask))
-            if nbhd_size * d != scale * child_sum + overlap * num_g if mask else d != 0:
+            d = delta[mask] = num * ratio - num_g
+            child_sum, rest = 0, mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                child_sum += prev[mask ^ bit]
+            if nbhd_size * d != child_sum + overlap * num_g if mask else d != 0:
                 raise InternalCheckError(f"delta-b recursion fails for set {mask:#x}")
-            delta_b[mask] = Fraction(d, denom)
+            delta_b[mask] = Fraction(d, nfact)
             new_w += a_sub * (num_g + d)
             old_w += term
         sub_sums.append(acc)
-        # degree k in units of 1 / (n n' lcm(1..n)**k)
+        # degree k in units of 1 / (n n' n!)
         reweight = n * new_w - sub_n * old_w
-        if sub_n * total != n * ratio_k * acc - reweight + sub_n * meets:
+        if sub_n * total != n * ratio * acc - reweight + sub_n * meets:
             raise InternalCheckError(f"deletion identity fails at degree {k}")
-        r_s.append(Fraction(reweight, n * sub_n * denom))
+        r_s.append(Fraction(reweight, n * sub_n * nfact))
     require_internal(next(sub_pass, None) is None, "G' has more layers than G")
 
     return DeletionReport(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from succorder import cli, polynomial
+from succorder import InternalCheckError, cli, layers, polynomial
 from succorder import (
     build_polynomial,
     delete_decompose,
@@ -104,6 +104,96 @@ def test_universe_restriction():
     assert flat == [0, 0b00001, 0b00100, 0b00101]
 
 
+def test_counts_and_weights_of_the_worked_example():
+    # B(I) = 5! b(I) on C5 with the chord 1-3; b({0, 3}) = 7/60
+    by_layer = [dict(zip(layer.sets, layer.counts)) for layer in iter_layers(c5_chord())]
+    assert by_layer[0] == {0: 120}
+    assert by_layer[1] == {0b1: 40, 0b10: 30, 0b100: 40, 0b1000: 30, 0b10000: 40}
+    assert by_layer[2][mask_of([0, 3])] == 14
+    assert [layer.weight for layer in iter_layers(c5_chord())] == [600, 300, 0]
+
+
+@pytest.mark.parametrize(
+    "g", [cycle_graph(7), c5_chord(), path_graph(6), complete_graph(4)], ids=["c7", "c5chord", "p6", "k4"]
+)
+def test_child_sums_of_each_layer_add_up_to_the_weight_below(g):
+    layers_ = list(iter_layers(g))
+    for below, layer in zip(layers_, layers_[1:]):
+        count_of = dict(zip(below.sets, below.counts))
+        child_sums = sum(count_of[mask ^ (1 << v)] for mask in layer.sets for v in range(g.n) if mask >> v & 1)
+        assert child_sums == below.weight
+        assert child_sums == sum(c * nbhd.bit_count() for c, nbhd in zip(layer.counts, layer.nbhds))
+    assert layers_[-1].weight == 0
+
+
+def edit_children(monkeypatch, k, edit):
+    """Have iter_layers build layer k through ``edit``.
+
+    ``edit`` gets n, the layer's rows (set, neighbourhood, count) and its
+    sums [child sums, sum of counts, weight], and returns both.
+    """
+    children = layers._children
+
+    def edited(sets, nbhds, counts, vertices, closed, n):
+        *columns, child_sums, total, weight = children(sets, nbhds, counts, vertices, closed, n)
+        if sets[0].bit_count() + 1 != k:
+            return (*columns, child_sums, total, weight)
+        rows, sums = edit(n, list(zip(*columns)), [child_sums, total, weight])
+        return (*(tuple(row[i] for row in rows) for i in range(3)), *sums)
+
+    monkeypatch.setattr(layers, "_children", edited)
+
+
+def drop_child(index):
+    """Drop one child together with its share of every sum of its layer."""
+
+    def drop(n, rows, sums):
+        _, nbhd, count = rows.pop(index)
+        size = nbhd.bit_count()
+        sums[0] -= size * count
+        sums[1] -= count
+        sums[2] -= (n - size) * count
+        return rows, sums
+
+    return drop
+
+
+def bump_count(index):
+    """Add 1 to one child's count and to the sums over counts, but not to the child sums."""
+
+    def bump(n, rows, sums):
+        members, nbhd, count = rows[index]
+        rows[index] = (members, nbhd, count + 1)
+        sums[1] += 1
+        sums[2] += n - nbhd.bit_count()
+        return rows, sums
+
+    return bump
+
+
+@pytest.mark.parametrize("k, index", [(1, 0), (2, -1)], ids=["first-singleton", "last-top-set"])
+def test_completeness_check_catches_a_dropped_child(monkeypatch, k, index):
+    # the layer's own sums agree with its rows, so only the check against layer k - 1 can fire
+    edit_children(monkeypatch, k, drop_child(index))
+    with pytest.raises(InternalCheckError, match=f"layer {k}: child sums differ from layer {k - 1}'s weight"):
+        list(iter_layers(c5_chord()))
+
+
+@pytest.mark.parametrize("universe", [None, mask_of([0, 2, 3])], ids=["whole", "restricted"])
+def test_exactness_check_catches_a_count_off_by_one(monkeypatch, universe):
+    edit_children(monkeypatch, 2, bump_count(0))
+    with pytest.raises(InternalCheckError, match=r"layer 2: a count is not its child sum over \|N\[I\]\|"):
+        list(iter_layers(c5_chord(), universe))
+
+
+def test_cli_count_exits_2_on_a_dropped_child(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "c5chord.txt"
+    path.write_text(C5_CHORD_TEXT)
+    edit_children(monkeypatch, 2, drop_child(0))
+    assert cli.main(["count", str(path), "--json"]) == 2
+    assert "internal check failed: layer 2: child sums" in capsys.readouterr().err
+
+
 def test_independence_number():
     assert independence_number(c5_chord()) == 2
     assert independence_number(complete_graph(6)) == 1
@@ -161,16 +251,15 @@ def test_delete_decompose_builds_one_fraction_per_delta_b_entry(monkeypatch):
     ids=["c6", "random12"],
 )
 def test_delete_decompose_runs_its_two_passes_in_lockstep(monkeypatch, g, removed):
-    scaled_layers = polynomial._scaled_layers
     drawn = []
 
     def logged(graph):
         which = "G" if graph is g else "G'"
-        for layer, cur in scaled_layers(graph):
+        for layer in iter_layers(graph):
             drawn.append((which, layer.k))
-            yield layer, cur
+            yield layer
 
-    monkeypatch.setattr(polynomial, "_scaled_layers", logged)
+    monkeypatch.setattr(polynomial, "iter_layers", logged)
     delete_decompose(g, removed)
     sub_layers = [k for which, k in drawn if which == "G'"]
     assert sub_layers == list(range(len(sub_layers)))

@@ -20,6 +20,7 @@ from succorder import (
     eval_at_minus_one,
     eval_indicator,
     eval_partial,
+    iter_layers,
     iter_vertices,
     mask_of,
     polynomial,
@@ -45,21 +46,19 @@ F = Fraction
 def edit_subgraph_layer(monkeypatch, k, edit, n=5):
     """Pass layer k of delete_decompose's G' pass on C6 - {0} through ``edit``.
 
-    ``edit`` gets the layer's (mask, nbhd, scaled b) rows as a list and returns
+    ``edit`` gets the layer's (mask, nbhd, n! b) rows as a list and returns
     the rows to yield; the G pass, over all six vertices, is left alone.  With
     ``n=6`` it is the G pass that is edited, and G' that is left alone.
     """
-    scaled_layers = polynomial._scaled_layers
-
     def edited(g):
-        for layer, cur in scaled_layers(g):
+        for layer in iter_layers(g):
             if g.n == n and layer.k == k:
-                rows = edit(list(zip(layer.sets, layer.nbhds, cur.values())))
-                layer = Layer(k, tuple(row[0] for row in rows), tuple(row[1] for row in rows))
-                cur = {mask: num for mask, _, num in rows}
-            yield layer, cur
+                rows = edit(list(zip(layer.sets, layer.nbhds, layer.counts)))
+                sets, nbhds, counts = (tuple(row[i] for row in rows) for i in range(3))
+                layer = Layer(k, sets, nbhds, counts, layer.weight)
+            yield layer
 
-    monkeypatch.setattr(polynomial, "_scaled_layers", edited)
+    monkeypatch.setattr(polynomial, "iter_layers", edited)
 
 
 def dropping(index):
@@ -253,18 +252,11 @@ class TestDeleteDecompose:
                 assert report.delta_b == expected, (g, removed)
 
     def test_delta_b_check_fires_on_a_corrupt_b_value(self, monkeypatch):
-        scaled_layers = polynomial._scaled_layers
-        passes = []
+        def bump_second(rows):
+            mask, nbhd, count = rows[1]
+            return [rows[0], (mask, nbhd, count + 1), *rows[2:]]
 
-        def corrupt_second_pass(g):
-            passes.append(g)
-            for layer, cur in scaled_layers(g):
-                if len(passes) == 2 and layer.k == 2:
-                    mask = layer.sets[1]
-                    cur = {**cur, mask: cur[mask] + 1}
-                yield layer, cur
-
-        monkeypatch.setattr(polynomial, "_scaled_layers", corrupt_second_pass)
+        edit_subgraph_layer(monkeypatch, 2, bump_second)
         # C6 minus vertex 0 is the path 1-2-3-4-5; its second 2-set is {1, 4} in C6 labels
         with pytest.raises(InternalCheckError, match="delta-b recursion fails for set 0x12"):
             delete_decompose(cycle_graph(6), mask_of([0]))
@@ -299,14 +291,12 @@ class TestDeleteDecompose:
             delete_decompose(cycle_graph(6), mask_of([0]))
 
     def test_agreement_check_fires_on_a_leftover_layer(self, monkeypatch):
-        scaled_layers = polynomial._scaled_layers
-
         def with_extra_layer(g):
-            yield from scaled_layers(g)
+            yield from iter_layers(g)
             if g.n == 5:
-                yield Layer(4, (0b1111,), (0b11111,)), {0b1111: 1}
+                yield Layer(4, (0b1111,), (0b11111,), (1,), 0)
 
-        monkeypatch.setattr(polynomial, "_scaled_layers", with_extra_layer)
+        monkeypatch.setattr(polynomial, "iter_layers", with_extra_layer)
         with pytest.raises(InternalCheckError, match="G' has more layers than G"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 

@@ -1,5 +1,6 @@
 """Property-based checks of the structural invariants."""
 
+import itertools
 import math
 
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from succorder import (
     Graph,
+    ParseError,
     a_value,
     b_permutation_sum,
     brute_sigma,
@@ -77,6 +79,24 @@ def test_layers_agree_with_subset_scan(gm):
 
 @given(graphs(max_n=6))
 @settings(max_examples=40)
+def test_counts_are_orderings_with_every_set_vertex_before_its_neighbours(g):
+    nfact = math.factorial(g.n)
+    orderings = list(itertools.permutations(range(g.n)))
+    for layer in iter_layers(g):
+        for mask, count in zip(layer.sets, layer.counts):
+            assert 0 < count <= nfact
+            members = [v for v in range(g.n) if mask >> v & 1]
+            expected = 0
+            for order in orderings:
+                position = {v: i for i, v in enumerate(order)}
+                expected += all(
+                    position[v] < position[u] for v in members for u in range(g.n) if g.adj[v] >> u & 1
+                )
+            assert count == expected
+
+
+@given(graphs(max_n=6))
+@settings(max_examples=40)
 def test_b_recursion_equals_permutation_sum(g):
     table = compute_b_table(g)
     for mask, value in table.items():
@@ -107,3 +127,16 @@ def test_parse_roundtrip(g):
     lines = [f"{g.n} {g.edge_count}"]
     lines += [f"{u} {v}" for u, v in g.edges()]
     assert parse_edge_list("\n".join(lines) + "\n") == g
+
+
+FIELDS = st.one_of(st.integers(0, 70).map(str), st.sampled_from(["-1", "+2", "1_0", "٣", "#", "x", "9" * 5000]))
+EDGE_LIST_LIKE = st.lists(st.lists(FIELDS, max_size=3).map(" ".join), max_size=8).map("\n".join)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789 \t\n#-+_\ufeff٣"), EDGE_LIST_LIKE))
+def test_parser_raises_only_parse_error(text):
+    try:
+        g = parse_edge_list(text)
+    except ParseError:
+        return
+    assert isinstance(g, Graph)

@@ -25,7 +25,7 @@ from conftest import c5_chord
 # two argument tuples per record type: the first is used twice, the second differs
 CASES = {
     Graph: ((2, (0b10, 0b01)), (3, (0b010, 0b101, 0b010))),
-    Layer: ((1, (0b1, 0b10), (0b11, 0b11)), (1, (0b1,), (0b11,))),
+    Layer: ((1, (0b1, 0b10), (0b11, 0b11), (1, 1), 0), (1, (0b1,), (0b11,), (1,), 0)),
     SigmaResult: ((5, 60, F(1, 2)), (5, 61, F(1, 2))),
     OrderingPolynomial: ((3, (F(1), F(1, 3)), (6, 2)), (3, (F(1),), (6,))),
     BadDistribution: (((1, 1),), ((2, 0),)),
@@ -38,7 +38,7 @@ CASES = {
 }
 FIELDS = {
     Graph: ("n", "adj"),
-    Layer: ("k", "sets", "nbhds"),
+    Layer: ("k", "sets", "nbhds", "counts", "weight"),
     SigmaResult: ("n", "sigma", "sigma_prime"),
     OrderingPolynomial: ("n", "p_coeffs", "f_coeffs"),
     BadDistribution: ("counts",),
@@ -110,7 +110,7 @@ def test_records_survive_copy_and_pickle():
 def test_layer_length_counts_its_sets():
     layer = Layer(*CASES[Layer][0])
     assert len(layer) == 2
-    assert not Layer(3, (), ())
+    assert not Layer(3, (), (), (), 0)
 
 
 @pytest.mark.parametrize(
