@@ -5,14 +5,14 @@ induces a connected subgraph.  The engine counts them exactly through an
 alternating sum over independent sets, builds the associated ordering
 polynomial and bad-vertex distribution, evaluates event probabilities,
 decomposes the polynomial under vertex deletion, and cross-validates
-everything against a brute-force oracle.
+everything against an independent oracle.
 
 ``import succorder`` loads no submodule.  Every public name is listed in
 ``_EXPORTS`` under the submodule that defines it, and the module
 ``__getattr__`` (PEP 562) imports that submodule the first time the name is
 looked up.  So a program pays only for the modules it uses: the CLI's
 ``count`` never compiles the polynomial or regularity code, and only the
-oracle's names (and ``verify``) import numpy.
+oracle's names (and ``verify``) load the oracle.
 """
 
 __version__ = "0.1.0"

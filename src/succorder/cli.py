@@ -12,7 +12,7 @@ command handler imports the engine modules it calls when it runs.  So
 ``count`` loads ``layers`` and ``counting`` and nothing else of the
 package, ``poly``, ``eval`` and ``delete`` add ``polynomial``, ``regular``
 loads ``regular``, ``bench`` adds ``randgraph``, and only ``verify``
-imports the brute-force oracle, and with it numpy.
+imports the oracle.
 
 The stderr ``elapsed: <x> ms`` line times only what follows argument
 parsing: reading the input, the handler's engine imports (about 6 ms for
@@ -274,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     file_cmd("regular", _cmd_regular, "fully-regular profile or witness")
 
-    p_verify = file_cmd("verify", _cmd_verify, "compare the engine against the brute-force oracle")
+    p_verify = file_cmd("verify", _cmd_verify, "compare the engine against the exact oracle")
     p_verify.add_argument("--max-n", type=_decimal, help="size guard (default: the oracle's cap)")
     p_verify.add_argument("--seed", type=_decimal, default=0, help="seed for sampled events")
 

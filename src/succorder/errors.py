@@ -15,7 +15,7 @@ class InternalCheckError(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """Engine output disagrees with the brute-force oracle."""
+    """Engine output disagrees with the oracle."""
 
 
 def require_internal(condition: bool, message: str) -> None:

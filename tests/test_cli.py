@@ -258,7 +258,7 @@ def imports_after_main(argv):
 
 
 class TestImportPath:
-    """Only verify pays for the oracle's numpy import."""
+    """Only verify loads the oracle, and no command loads numpy."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -278,7 +278,7 @@ class TestImportPath:
 
     def test_verify_loads_the_oracle(self, c5chord_file):
         result = imports_after_main(["verify", c5chord_file])
-        assert result == {"code": 0, "loaded": ["numpy", "succorder.oracle"]}
+        assert result == {"code": 0, "loaded": ["succorder.oracle"]}
 
     def test_module_entry_point_skips_the_oracle(self, c5chord_file):
         # -m imports the package __init__ before __main__
@@ -298,10 +298,9 @@ class TestImportPath:
         engine = {f"succorder.{m}" for m in ("errors", "graph", "layers", "counting")}
         assert loaded == {"succorder", "succorder.cli"} | engine
 
-    @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+    @pytest.mark.parametrize("module", ["dataclasses", "inspect", "numpy"])
     def test_no_package_module_imports(self, module):
-        # every module but the oracle, whose numpy import is not the package's own
-        engine = "regular, randgraph, polynomial, counting, layers, graph, errors, cli"
+        engine = "regular, randgraph, polynomial, counting, layers, graph, errors, cli, oracle"
         proc = module_run("-c", f"from succorder import {engine}")
         rows = importtime_tree(proc.stderr)
         assert (0, "succorder.polynomial") in rows

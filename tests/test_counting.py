@@ -1,16 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from succorder import (
+    ORACLE_MAX_N,
     a_value,
     b_permutation_sum,
     brute_event,
     brute_sigma,
     compute_b_table,
+    iter_vertices,
     mask_of,
     pr_bad_via_mobius,
     pr_good,
+    random_connected_graph,
     sigma,
     weight,
 )
@@ -122,19 +126,45 @@ class TestWeight:
             weight(g, mask_of([0, 1]), compute_b_table(g))
 
 
+def assert_sigma_is(g, expected):
+    """The engine, and the oracle where it runs, both give the closed form."""
+    assert sigma(g).sigma == expected
+    if g.n <= ORACLE_MAX_N:
+        assert brute_sigma(g) == expected
+
+
+def hook_length_sigma(tree):
+    """Sum over roots r of n! / prod_v h_r(v), h_r(v) = |subtree of v| with the tree hung from r.
+
+    A successive ordering of a tree that starts at r is a linear extension
+    of the tree rooted at r; the hook-length formula counts those (Knuth,
+    TAOCP vol. 3, section 5.1.4).
+    """
+    total = 0
+    for root in range(tree.n):
+        parent, order = {root: None}, [root]
+        for v in order:
+            for w in iter_vertices(tree.adj[v]):
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        total += math.factorial(tree.n) // math.prod(size.values())
+    return total
+
+
 class TestSigma:
     def test_c5_chord(self):
         result = sigma(c5_chord())
         assert result.sigma == 60
         assert result.sigma_prime == F(1, 2)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 10, 20])
     def test_complete_graphs(self, n):
-        import math
-
-        result = sigma(complete_graph(n))
-        assert result.sigma == math.factorial(n)
-        assert result.sigma_prime == 1
+        assert_sigma_is(complete_graph(n), math.factorial(n))
+        assert sigma(complete_graph(n)).sigma_prime == 1
 
     def test_disconnected_is_zero(self):
         result = sigma(p2_plus_isolated())
@@ -142,12 +172,28 @@ class TestSigma:
         assert result.sigma_prime == 0
 
     def test_star(self):
+        # the centre first, or a leaf and then the centre: 2 * (n - 1)!
         assert sigma(star_graph(3)).sigma == 12
+        for leaves in (1, 6, 9, 15):
+            assert_sigma_is(star_graph(leaves), 2 * math.factorial(leaves))
 
     def test_cycle(self):
         # n * 2^(n-2) ways to grow a cycle from any start
         assert sigma(cycle_graph(5)).sigma == 40
         assert sigma(cycle_graph(7)).sigma == 7 * 2**5
+        for n in (3, 8, 10, 20):
+            assert_sigma_is(cycle_graph(n), n * 2 ** (n - 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 10, 20])
+    def test_path(self, n):
+        # the prefix is always an interval, grown at either end: 2^(n-1)
+        assert_sigma_is(path_graph(n), 2 ** (n - 1))
+
+    @pytest.mark.parametrize("n, seed", [(7, 1), (9, 2), (10, 3), (14, 4), (20, 5)])
+    def test_trees_by_hook_lengths(self, n, seed):
+        tree = random_connected_graph(n, 0.0, seed=seed)
+        assert sum(adj.bit_count() for adj in tree.adj) == 2 * (n - 1)
+        assert_sigma_is(tree, hook_length_sigma(tree))
 
     def test_sigma_prime_is_probability(self):
         for g in (path_graph(6), cycle_graph(6), star_graph(5)):

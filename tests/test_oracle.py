@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from succorder import (
     brute_event,
     brute_sigma,
     mask_of,
+    random_connected_graph,
 )
 
 from conftest import (
@@ -110,3 +114,43 @@ class TestBruteEvent:
         p = brute_event(g, base_bad, base_good)
         assert brute_event(g, base_bad, base_good | mask_of([1])) <= p
         assert brute_event(g, base_bad | mask_of([4]), base_good) <= p
+
+
+def assert_matches_permutation_scan(g, seed):
+    """sigma, the distribution and sampled events equal a plain scan of all n! orderings."""
+    scan = Counter(bad_vertices(g, p) for p in itertools.permutations(range(g.n)))
+    histogram = [0] * (g.n + 1)
+    for bad, count in scan.items():
+        histogram[bad.bit_count()] += count
+    assert brute_sigma(g) == scan[0]
+    assert brute_distribution(g).counts == tuple(histogram)
+
+    rng = random.Random(seed)
+    for _ in range(6):
+        bad_req = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+        good_req = rng.getrandbits(g.n) & ~bad_req
+        for t, s in ((bad_req, good_req), (bad_req, 0), (0, good_req)):
+            hits = sum(c for bad, c in scan.items() if bad & t == t and not bad & s)
+            assert brute_event(g, t, s) == Fraction(hits, math.factorial(g.n)), (t, s)
+
+
+class TestAgainstPermutationScan:
+    def test_every_graph_up_to_six_vertices(self, connected_catalog, disconnected_catalog):
+        small = [g for g in connected_catalog + disconnected_catalog if g.n <= 6]
+        assert len(small) == 208
+        for i, g in enumerate(small):
+            assert_matches_permutation_scan(g, seed=i)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            random_connected_graph(7, 0.2, seed=1),
+            random_connected_graph(7, 0.6, seed=2),
+            random_connected_graph(8, 0.1, seed=3),
+            random_connected_graph(8, 0.4, seed=4),
+            graph_from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7)]),
+        ],
+        ids=["n7-sparse", "n7-dense", "n8-tree-like", "n8-mid", "n8-disconnected"],
+    )
+    def test_seeded_graphs(self, g):
+        assert_matches_permutation_scan(g, seed=g.n)
