@@ -207,7 +207,7 @@ class TestBench:
 
 
 # Runs cli.main on the argv in sys.argv[1] (JSON), then prints, as its last
-# stdout line, the exit code and which of the oracle's modules got imported.
+# stdout line, the exit code and which of numpy and the oracle got imported.
 _IMPORTS_AFTER_MAIN = """
 import json, sys
 from succorder.cli import main
