@@ -24,7 +24,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .graph import Graph, VertexSet, iter_vertices
+from .graph import Graph, VertexSet
 from .polynomial import BadDistribution
 
 #: Largest vertex count the oracle accepts.
@@ -59,22 +59,35 @@ def _prefix_counts(g: Graph, bad_req: VertexSet, good_req: VertexSet) -> list[in
     Each prefix P carries its counts as the polynomial sum_k counts[k]·y^k
     evaluated at y = 2^w, one integer, so a bad step is a multiplication by
     y and merging two chains is an addition.  No count at P exceeds |P|! ≤
-    n! < 2^w, so the w-bit fields never carry into each other.  Only the
-    prefixes of two sizes are held at a time, as {prefix mask: counts}.
+    n! < 2^w, so the w-bit fields never carry into each other.  P also
+    carries its open neighbourhood N(P): a free vertex in N(P) steps in
+    good, any other bad, so each prefix splits its free vertices once into
+    a good-step and a bad-step mask, with the steps that break the event
+    already left out.  Only the prefixes of two sizes are held at a time,
+    as {prefix mask: [N(P), counts]}.
     """
-    w = math.factorial(g.n).bit_length()
-    layer = {0: 1}
-    for _ in range(g.n):
+    n, full = g.n, g.full_mask
+    w = math.factorial(n).bit_length()
+    row = {1 << v: adj for v, adj in enumerate(g.adj)}
+    # the first vertex is never bad
+    layer = {bit: [adj, 1] for bit, adj in row.items() if not bit & bad_req}
+    for _ in range(n - 1):
         below, layer = layer, {}
-        for prefix, counts in below.items():
-            for v in iter_vertices(g.full_mask & ~prefix):
-                bad = prefix != 0 and not g.adj[v] & prefix
-                if (good_req if bad else bad_req) >> v & 1:
-                    continue
-                key = prefix | 1 << v
-                layer[key] = layer.get(key, 0) + (counts << w if bad else counts)
-    counts = layer.get(g.full_mask, 0)
-    return [(counts >> k * w) & ((1 << w) - 1) for k in range(g.n + 1)]
+        for prefix, (nbhd, counts) in below.items():
+            free = full & ~prefix
+            good, bad = free & nbhd & ~bad_req, free & ~nbhd & ~good_req
+            for steps, step_counts in ((good, counts), (bad, counts << w)):
+                while steps:
+                    bit = steps & -steps
+                    steps ^= bit
+                    key = prefix | bit
+                    entry = layer.get(key)
+                    if entry is None:
+                        layer[key] = [nbhd | row[bit], step_counts]
+                    else:
+                        entry[1] += step_counts
+    counts = layer[full][1] if full in layer else 0
+    return [(counts >> k * w) & ((1 << w) - 1) for k in range(n + 1)]
 
 
 def brute_sigma(g: Graph) -> int:

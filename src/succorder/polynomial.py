@@ -15,6 +15,7 @@ over independent sets, and that is what is implemented.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
 from .counting import (
@@ -25,7 +26,7 @@ from .counting import (
     weight,
 )
 from .errors import InternalCheckError, require_internal
-from .graph import Graph, Record, VertexSet, induced_subgraph, is_independent
+from .graph import Graph, Record, VertexSet, induced_subgraph, open_neighborhood
 from .layers import iter_layers
 
 
@@ -67,8 +68,10 @@ class DeletionReport(Record):
     ``delta_b`` maps every independent set of G-S (in the original vertex
     labels) to b_{G-S}(I) - b_G(I), the direct difference of the two
     b-recursions; the triangular recursion it must satisfy is checked set by
-    set, in integers scaled by n!, before the report is returned.  ``repr``
-    leaves ``delta_b`` out.
+    set, in integers scaled by n!, before the report is returned.  It is a
+    read-only mapping over those integers, layer by layer and mask-ascending,
+    that builds each exact Fraction when it is read.  ``repr`` leaves
+    ``delta_b`` out.
     """
 
     __slots__ = ("removed", "p_g", "p_gprime", "r_s", "u_s", "delta_b")
@@ -78,7 +81,39 @@ class DeletionReport(Record):
     p_gprime: OrderingPolynomial
     r_s: tuple[Fraction, ...]
     u_s: tuple[Fraction, ...]
-    delta_b: dict[VertexSet, Fraction]
+    delta_b: Mapping[VertexSet, Fraction]
+
+
+class _ScaledFractions(Mapping):
+    """Read-only mapping of keys to integers over one common denominator.
+
+    Each value is built as an exact Fraction when it is read; the integers
+    are held as given, in their insertion order.
+    """
+
+    __slots__ = ("_numerators", "_denominator")
+
+    def __init__(self, numerators: dict[VertexSet, int], denominator: int) -> None:
+        self._numerators = numerators
+        self._denominator = denominator
+
+    def __getitem__(self, members: VertexSet) -> Fraction:
+        return Fraction(self._numerators[members], self._denominator)
+
+    def __contains__(self, members: object) -> bool:
+        return members in self._numerators
+
+    def __iter__(self) -> Iterator[VertexSet]:
+        return iter(self._numerators)
+
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return type(self), (self._numerators, self._denominator)
 
 
 def build_polynomial(g: Graph) -> OrderingPolynomial:
@@ -164,13 +199,16 @@ def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
     Equals sum over independent I with T ⊆ I ⊆ S∪T of (-1)^|I\\T| w(I),
     which is Pr(every vertex of T bad and every vertex of S\\T good).  When
     T is not independent there are no independent supersets and the value
-    is 0.
+    is 0.  Every independent superset of T avoids T's open neighbourhood
+    N(T), and b(I) does not depend on the universe, so the pass enumerates
+    only (S∪T) minus N(T).
     """
     if (bad_set | good_set) & ~g.full_mask:
         raise ValueError("vertex set mentions vertices outside the graph")
-    if not is_independent(g, bad_set):
+    outside = open_neighborhood(g, bad_set)
+    if bad_set & outside:
         return Fraction(0)
-    return _alternating_total(g, bad_set | good_set, required=bad_set)
+    return _alternating_total(g, (bad_set | good_set) & ~outside, required=bad_set)
 
 
 def _translation_tables(positions: tuple[int, ...]) -> list[tuple[int, list[VertexSet]]]:
@@ -191,7 +229,10 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     The passes over G and G' run in lockstep, one layer of each resident,
     carrying the counts n! b_G(I) and n'! b_{G'}(I).  G' is relabelled
     monotonically, so its layer k is G's layer k less the sets meeting S, in
-    order; the two are paired by position.  Verifies:
+    order: one loop walks G's layer and draws each survivor's partner from
+    the layer of G' in turn.  Δb is kept as the integers n! Δb_I, in one
+    table that serves the recursion and backs the report's ``delta_b``.
+    Verifies:
       * the two enumerations agree set by set: each layer of G' has as many
         sets as G's has outside S, each translating back to its partner, and
         G' has no layer left over;
@@ -226,36 +267,32 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     removed_size = removed.bit_count()
     tables = _translation_tables(old_labels)
 
-    # delta[I] = n! Δb_I
+    # delta[I] = n! Δb_I, one entry per survivor, in G' pass order
     g_sums: list[int] = []
     sub_sums: list[int] = []
     r_s: list[Fraction] = []
     u_s: list[Fraction] = []
-    delta_b: dict[VertexSet, Fraction] = {}
     delta: dict[VertexSet, int] = {}
     sub_pass = iter_layers(sub)
     for k, layer in enumerate(iter_layers(g)):
-        total, meets = layer.weight, 0
-        survivors = []
-        for mask, nbhd, num in zip(layer.sets, layer.nbhds, layer.counts):
-            term = (n - nbhd.bit_count()) * num
+        sets = layer.sets
+        kept = len(sets) - sum(map(bool, map(removed.__and__, sets)))
+        sub_layer = next(sub_pass, None)
+        sub_kept = len(sub_layer or ())
+        require_internal(kept == sub_kept, f"layer {k}: G' has {sub_kept} sets, G {kept} outside S")
+        partners = iter(())
+        if sub_layer is not None:
+            partners = zip(sub_layer.sets, sub_layer.nbhds, sub_layer.counts)
+        # acc sums a_{G'} n'! b_{G'}; meets sums a_G n! b_G over the sets
+        # meeting S; new_w and old_w sum the survivors' a_{G'} n! (b_G + Δb)
+        # and a_G n! b_G
+        acc = meets = new_w = old_w = 0
+        for mask, nbhd, num_g in zip(sets, layer.nbhds, layer.counts):
+            term = (n - nbhd.bit_count()) * num_g
             if mask & removed:
                 meets += term
-            else:
-                survivors.append((mask, num, nbhd, term))
-        g_sums.append(total)
-        u_s.append(Fraction(meets, n * nfact))
-        sub_layer = next(sub_pass, None)
-        kept, sub_kept = len(survivors), len(sub_layer or ())
-        require_internal(kept == sub_kept, f"layer {k}: G' has {sub_kept} sets, G {kept} outside S")
-        if sub_layer is None:
-            continue
-        prev, delta = delta, {}
-        # acc sums a_{G'} n'! b_{G'}; new_w and old_w sum the survivors'
-        # a_{G'} n! (b_G + Δb) and a_G n! b_G
-        acc = new_w = old_w = 0
-        pairs = zip(survivors, sub_layer.sets, sub_layer.nbhds, sub_layer.counts)
-        for (mask, num_g, nbhd, term), sub_mask, sub_nbhd, num in pairs:
+                continue
+            sub_mask, sub_nbhd, num = next(partners)
             translated = 0
             for shift, table in tables:
                 translated |= table[sub_mask >> shift & 255]
@@ -272,12 +309,16 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                child_sum += prev[mask ^ bit]
+                child_sum += delta[mask ^ bit]
             if nbhd_size * d != child_sum + overlap * num_g if mask else d != 0:
                 raise InternalCheckError(f"delta-b recursion fails for set {mask:#x}")
-            delta_b[mask] = Fraction(d, nfact)
             new_w += a_sub * (num_g + d)
             old_w += term
+        total = layer.weight
+        g_sums.append(total)
+        u_s.append(Fraction(meets, n * nfact))
+        if sub_layer is None:
+            continue
         sub_sums.append(acc)
         # degree k in units of 1 / (n n' n!)
         reweight = n * new_w - sub_n * old_w
@@ -292,5 +333,5 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         p_gprime=_polynomial(sub_n, sub_sums),
         r_s=tuple(r_s),
         u_s=tuple(u_s),
-        delta_b=delta_b,
+        delta_b=_ScaledFractions(delta, nfact),
     )

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -227,11 +228,15 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
         passes.clear()
         feature()
         assert len(passes) == expected
+    # eval_partial's one pass leaves out T's open neighbourhood, here N({0}) = {1, 4}
+    passes.clear()
+    eval_partial(g, mask_of([0]), mask_of([1, 2, 3]))
+    assert passes == [mask_of([0, 2, 3])]
 
 
-def test_delete_decompose_builds_one_fraction_per_delta_b_entry(monkeypatch):
-    # one reduced Fraction per delta_b entry; the rest are per degree (P_G,
-    # P_G', R_S and U_S), never per set
+def test_delete_decompose_builds_no_fraction_per_delta_b_entry(monkeypatch):
+    # delta_b builds its Fractions when read, so the deletion builds only the
+    # per-degree ones (P_G, P_G', R_S and U_S), never one per set
     built = []
 
     def counted(*args):
@@ -242,7 +247,23 @@ def test_delete_decompose_builds_one_fraction_per_delta_b_entry(monkeypatch):
     g = random_connected_graph(14, 0.2, seed=5)
     report = delete_decompose(g, mask_of([3]))
     layers = len(report.p_g.p_coeffs)
-    assert len(built) <= len(report.delta_b) + 8 * layers
+    assert len(built) <= 8 * layers
+
+
+def test_delete_decompose_heap_peak_is_within_twice_that_of_sigma():
+    # the deletion holds a layer of each pass and one integer per survivor;
+    # at n = 22 (5,643 independent sets) its peak is about 1.8x sigma's
+    g = random_connected_graph(22, 0.15, seed=2)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: delete_decompose(g, mask_of([0]))) <= 2 * peak(lambda: sigma(g))
 
 
 @pytest.mark.parametrize(

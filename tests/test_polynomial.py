@@ -1,5 +1,6 @@
 import inspect
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,26 @@ class TestDeleteDecompose:
                     expected[orig] = b - b_g[orig]
                 assert report.delta_b == expected, (g, removed)
 
+    def test_delta_b_is_a_read_only_mapping_of_fractions(self):
+        report = delete_decompose(cycle_graph(6), mask_of([0]))
+        delta_b = report.delta_b
+        # C6 minus vertex 0 is the path 1-2-3-4-5; keys come layer by layer, mask-ascending
+        assert list(delta_b) == [0, 0b10, 0b100, 0b1000, 0b10000, 0b100000,
+                                 0b1010, 0b10010, 0b10100, 0b100010, 0b100100, 0b101000, 0b101010]
+        items = list(delta_b.items())
+        assert all(type(value) is Fraction for _, value in items)
+        assert delta_b == dict(items) and dict(items) == delta_b
+        assert delta_b != {**dict(items), 0: F(1)}
+        assert 0b1010 in delta_b and 0b11 not in delta_b and len(delta_b) == 13
+        with pytest.raises(KeyError):
+            delta_b[0b11]
+        with pytest.raises(TypeError):
+            delta_b[0b11] = F(0)
+        with pytest.raises(TypeError):
+            hash(delta_b)
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report and list(copy.delta_b.items()) == items
+
     def test_delta_b_check_fires_on_a_corrupt_b_value(self, monkeypatch):
         def bump_second(rows):
             mask, nbhd, count = rows[1]
@@ -323,8 +344,8 @@ class TestDeleteDecompose:
         # a source mutant that adds each survivor's G term to U_S's sum as well:
         # every per-set check passes, and only the identity sees U_S + P_G' - R_S != P_G
         source = inspect.getsource(polynomial.delete_decompose)
-        line = "                survivors.append((mask, num, nbhd, term))\n"
-        mutant = source.replace(line, line + "                meets += term\n")
+        line = "            old_w += term\n"
+        mutant = source.replace(line, line + "            meets += term\n")
         assert mutant != source
         namespace = dict(vars(polynomial))
         exec(compile(mutant, polynomial.__file__, "exec"), namespace)
