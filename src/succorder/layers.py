@@ -16,10 +16,12 @@ B(I minus v), with B(empty) = n!.  A child's sum starts from its generating
 parent's count.  Each layer carries its weight W_k = sum of a(I) B(I), with
 a(I) = n - |N[I]|.  B(I) is taken by floor division; n sum B - W_k, which is
 sum |N[I]| B(I), must equal the sum of the child sums, and differs exactly
-when a division left a remainder.  On a whole-graph pass every J in layer k
-lies in a(J) sets of layer k + 1, so those child sums add up to W_k and the
-top layer has W = 0; a child lost or doubled fails this.  Either check
-raises InternalCheckError.  Only one previous layer stays resident.
+when a division left a remainder.  On a pass over a sealed universe U, one
+that no edge leaves (the whole graph is one), every J in layer k lies in
+|U| - |N[J]| = a(J) - (n - |U|) sets of layer k + 1, so those child sums add
+up to W_k - (n - |U|) sum B(J); a child lost or doubled fails this.  Other
+universes have no such count and skip it.  Either check raises
+InternalCheckError.  Only one previous layer stays resident.
 """
 
 from __future__ import annotations
@@ -57,28 +59,32 @@ def iter_layers(g: Graph, universe: VertexSet | None = None) -> Iterator[Layer]:
     """Yield layers k = 0, 1, ... of independent sets contained in ``universe``.
 
     Only the previous layer is kept resident, so memory is bounded by the
-    two largest layers.  Stops after the last nonempty layer.
+    two largest layers.  Stops after the last nonempty layer.  When no edge
+    leaves ``universe``, each layer's child sums are checked against the
+    layer below, as on the whole graph.
     """
     if universe is None:
         universe = g.full_mask
     elif universe & ~g.full_mask:
         raise ValueError("universe mentions vertices outside the graph")
     n = g.n
-    whole = universe == g.full_mask
     closed = [row | (1 << v) for v, row in enumerate(g.adj)]
     vertices = list(iter_vertices(universe))
+    sealed = not any(closed[v] & ~universe for v in vertices)
+    outside = n - len(vertices)
     sets, nbhds, counts = (0,), (0,), (math.factorial(n),)
-    weight = n * counts[0]
+    total = counts[0]
+    weight = n * total
     k = 0
     while sets:
         yield Layer(k, sets, nbhds, counts, weight)
-        parent_weight = weight
+        parent_sums = weight - outside * total
         children = _children(sets, nbhds, counts, vertices, closed, n)
         sets, nbhds, counts, child_sums, total, weight = children
         k += 1
         if n * total - weight != child_sums:
             raise InternalCheckError(f"layer {k}: a count is not its child sum over |N[I]|")
-        if whole and child_sums != parent_weight:
+        if sealed and child_sums != parent_sums:
             raise InternalCheckError(f"layer {k}: child sums differ from layer {k - 1}'s weight")
 
 

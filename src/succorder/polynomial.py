@@ -26,7 +26,7 @@ from .counting import (
     weight,
 )
 from .errors import InternalCheckError, require_internal
-from .graph import Graph, Record, VertexSet, induced_subgraph, open_neighborhood
+from .graph import Graph, Record, VertexSet, open_neighborhood
 from .layers import iter_layers
 
 
@@ -211,38 +211,30 @@ def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
     return _alternating_total(g, (bad_set | good_set) & ~outside, required=bad_set)
 
 
-def _translation_tables(positions: tuple[int, ...]) -> list[tuple[int, list[VertexSet]]]:
-    """Per byte of a G' mask, its shift and the G mask of each of its 256 values."""
-    tables = []
-    for shift in range(0, len(positions), 8):
-        table = [0]
-        for p in positions[shift : shift + 8]:
-            bit = 1 << p
-            table += [t | bit for t in table]
-        tables.append((shift, table))
-    return tables
-
-
 def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     """Decompose P_G against G' = G - S, the graph with ``removed`` = S deleted.
 
-    The passes over G and G' run in lockstep, one layer of each resident,
-    carrying the counts n! b_G(I) and n'! b_{G'}(I).  G' is relabelled
-    monotonically, so its layer k is G's layer k less the sets meeting S, in
-    order: one loop walks G's layer and draws each survivor's partner from
-    the layer of G' in turn.  Δb is kept as the integers n! Δb_I, in one
-    table that serves the recursion and backs the report's ``delta_b``.
+    The passes over G and G' run in lockstep, one layer of each resident.
+    G' keeps G's n vertices and labels with every edge at S dropped, and its
+    pass runs over V minus S, a universe no edge leaves, so it yields the
+    sets of G - S in G's labels and counts n! b_{G'}(I) in the same n! units
+    as G's n! b_G(I).  Its layer k is G's layer k less the sets meeting S,
+    in order: one loop walks G's layer and draws each survivor's partner
+    from the layer of G' in turn.  Δb is kept as the integers n! Δb_I, in
+    one table that serves the recursion and backs the report's ``delta_b``.
+    Only P_{G'}'s weight at each degree is rescaled, divided exactly by
+    n!/n'!.
     Verifies:
       * the two enumerations agree set by set: each layer of G' has as many
-        sets as G's has outside S, each translating back to its partner, and
-        G' has no layer left over;
+        sets as G's has outside S, each equal to its partner, and G' has no
+        layer left over;
       * a_{G'}(I) = a_G(I) - (|S| - |N_G[I] ∩ S|) for every independent I
         of G';
       * for every independent I of G', the triangular recursion
         |N_{G'}[I]| Δb_I = sum_v Δb_{I\\v} + |N_G[I] ∩ S| b_G(I)
         on Δb_I = b_{G'}(I) - b_G(I), with Δb_∅ = 0, checked exactly in
         integers scaled by n! on the direct difference of the two passes'
-        counts, n! b_G(I) and (n!/n'!) n'! b_{G'}(I);
+        counts, n! b_{G'}(I) - n! b_G(I);
       * the coefficient identity P_G = P_{G'} - R_S + U_S at every degree G'
         reaches.  Its two sides share no sum: P_G is G's layer weight as the
         pass accumulated it, while U_S and R_S are summed here set by set,
@@ -260,12 +252,13 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         raise ValueError("removal set mentions vertices outside the graph")
     if removed == full:
         raise ValueError("cannot remove every vertex; the remainder must be nonempty")
-    sub, old_labels = induced_subgraph(g, full & ~removed)
-    n, sub_n = g.n, sub.n
+    n = g.n
+    remaining = full & ~removed
+    sub = Graph(n, tuple(row & remaining if remaining >> v & 1 else 0 for v, row in enumerate(g.adj)))
+    removed_size = removed.bit_count()
+    sub_n = n - removed_size
     nfact = math.factorial(n)
     ratio = nfact // math.factorial(sub_n)
-    removed_size = removed.bit_count()
-    tables = _translation_tables(old_labels)
 
     # delta[I] = n! Δb_I, one entry per survivor, in G' pass order
     g_sums: list[int] = []
@@ -273,7 +266,7 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     r_s: list[Fraction] = []
     u_s: list[Fraction] = []
     delta: dict[VertexSet, int] = {}
-    sub_pass = iter_layers(sub)
+    sub_pass = iter_layers(sub, remaining)
     for k, layer in enumerate(iter_layers(g)):
         sets = layer.sets
         kept = len(sets) - sum(map(bool, map(removed.__and__, sets)))
@@ -283,7 +276,7 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         partners = iter(())
         if sub_layer is not None:
             partners = zip(sub_layer.sets, sub_layer.nbhds, sub_layer.counts)
-        # acc sums a_{G'} n'! b_{G'}; meets sums a_G n! b_G over the sets
+        # acc sums a_{G'} n! b_{G'}; meets sums a_G n! b_G over the sets
         # meeting S; new_w and old_w sum the survivors' a_{G'} n! (b_G + Δb)
         # and a_G n! b_G
         acc = meets = new_w = old_w = 0
@@ -293,18 +286,15 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
                 meets += term
                 continue
             sub_mask, sub_nbhd, num = next(partners)
-            translated = 0
-            for shift, table in tables:
-                translated |= table[sub_mask >> shift & 255]
-            if translated != mask:
-                raise InternalCheckError(f"set {sub_mask:#x} of G' does not translate to {mask:#x}")
+            if sub_mask != mask:
+                raise InternalCheckError(f"set {sub_mask:#x} of G' is not G's survivor {mask:#x}")
             nbhd_size = sub_nbhd.bit_count()
             acc += (sub_n - nbhd_size) * num
             overlap = (nbhd & removed).bit_count()
             a_sub = n - nbhd.bit_count() - (removed_size - overlap)
             if sub_n - nbhd_size != a_sub:
                 raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
-            d = delta[mask] = num * ratio - num_g
+            d = delta[mask] = num - num_g
             child_sum, rest = 0, mask
             while rest:
                 bit = rest & -rest
@@ -319,10 +309,12 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         u_s.append(Fraction(meets, n * nfact))
         if sub_layer is None:
             continue
-        sub_sums.append(acc)
+        sub_sum, rem = divmod(acc, ratio)
+        require_internal(rem == 0, f"G' weight at degree {k} is not a multiple of n!/n'!")
+        sub_sums.append(sub_sum)
         # degree k in units of 1 / (n n' n!)
         reweight = n * new_w - sub_n * old_w
-        if sub_n * total != n * ratio * acc - reweight + sub_n * meets:
+        if sub_n * total != n * acc - reweight + sub_n * meets:
             raise InternalCheckError(f"deletion identity fails at degree {k}")
         r_s.append(Fraction(reweight, n * sub_n * nfact))
     require_internal(next(sub_pass, None) is None, "G' has more layers than G")

@@ -180,6 +180,23 @@ def test_completeness_check_catches_a_dropped_child(monkeypatch, k, index):
         list(iter_layers(c5_chord()))
 
 
+@pytest.mark.parametrize("k, index", [(1, 0), (3, 0)], ids=["first-singleton", "top-set"])
+def test_completeness_check_runs_on_a_sealed_universe(monkeypatch, k, index):
+    # with vertex 0's edges gone no edge leaves {1..5}, so each J of layer
+    # k - 1 there lies in a(J) - 1 sets of layer k
+    g = graph_from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    edit_children(monkeypatch, k, drop_child(index))
+    with pytest.raises(InternalCheckError, match=f"layer {k}: child sums differ from layer {k - 1}'s weight"):
+        list(iter_layers(g, mask_of([1, 2, 3, 4, 5])))
+
+
+def test_unsealed_universe_runs_no_completeness_check(monkeypatch):
+    # C6's edges {0, 1} and {3, 4} leave {1, 2, 3}, so no child count holds
+    # there and none is checked: losing the 2-set {1, 3} goes unseen
+    edit_children(monkeypatch, 2, drop_child(0))
+    assert [len(layer) for layer in iter_layers(cycle_graph(6), mask_of([1, 2, 3]))] == [1, 3]
+
+
 @pytest.mark.parametrize("universe", [None, mask_of([0, 2, 3])], ids=["whole", "restricted"])
 def test_exactness_check_catches_a_count_off_by_one(monkeypatch, universe):
     edit_children(monkeypatch, 2, bump_count(0))
@@ -274,9 +291,9 @@ def test_delete_decompose_heap_peak_is_within_twice_that_of_sigma():
 def test_delete_decompose_runs_its_two_passes_in_lockstep(monkeypatch, g, removed):
     drawn = []
 
-    def logged(graph):
-        which = "G" if graph is g else "G'"
-        for layer in iter_layers(graph):
+    def logged(graph, universe=None):
+        which = "G" if universe is None else "G'"
+        for layer in iter_layers(graph, universe):
             drawn.append((which, layer.k))
             yield layer
 
@@ -287,3 +304,31 @@ def test_delete_decompose_runs_its_two_passes_in_lockstep(monkeypatch, g, remove
     for k in sub_layers:
         if ("G", k + 1) in drawn:
             assert drawn.index(("G'", k)) < drawn.index(("G", k + 1))
+
+
+@pytest.mark.parametrize(
+    "g, removed",
+    [(cycle_graph(6), mask_of([0])), (random_connected_graph(12, 0.2, seed=7), mask_of([1, 4, 9]))],
+    ids=["c6", "random12"],
+)
+def test_delete_decompose_runs_g_prime_in_g_labels(monkeypatch, g, removed):
+    # G' is G with every edge at S dropped, enumerated over V minus S, so its
+    # layers are G's survivors, set for set
+    passes = {}
+
+    def logged(graph, universe=None):
+        layers_ = passes[universe] = (graph, [])
+        for layer in iter_layers(graph, universe):
+            layers_[1].append(layer.sets)
+            yield layer
+
+    monkeypatch.setattr(polynomial, "iter_layers", logged)
+    delete_decompose(g, removed)
+    remaining = g.full_mask & ~removed
+    assert passes.keys() == {None, remaining}
+    (whole, g_sets), (sub, sub_sets) = passes[None], passes[remaining]
+    assert whole is g
+    assert sub.n == g.n
+    assert sub.edges() == [(u, v) for u, v in g.edges() if not (1 << u | 1 << v) & removed]
+    survivors = [tuple(mask for mask in sets if not mask & removed) for sets in g_sets]
+    assert sub_sets == [sets for sets in survivors if sets]

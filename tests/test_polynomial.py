@@ -44,16 +44,17 @@ from conftest import (
 F = Fraction
 
 
-def edit_subgraph_layer(monkeypatch, k, edit, n=5):
+def edit_subgraph_layer(monkeypatch, k, edit, in_g=False):
     """Pass layer k of delete_decompose's G' pass on C6 - {0} through ``edit``.
 
     ``edit`` gets the layer's (mask, nbhd, n! b) rows as a list and returns
-    the rows to yield; the G pass, over all six vertices, is left alone.  With
-    ``n=6`` it is the G pass that is edited, and G' that is left alone.
+    the rows to yield.  The G' pass is the one run over a universe, here the
+    vertices 1..5; the G pass, over the whole graph, is left alone.  With
+    ``in_g=True`` it is the G pass that is edited, and G' that is left alone.
     """
-    def edited(g):
-        for layer in iter_layers(g):
-            if g.n == n and layer.k == k:
+    def edited(g, universe=None):
+        for layer in iter_layers(g, universe):
+            if (universe is None) == in_g and layer.k == k:
                 rows = edit(list(zip(layer.sets, layer.nbhds, layer.counts)))
                 sets, nbhds, counts = (tuple(row[i] for row in rows) for i in range(3))
                 layer = Layer(k, sets, nbhds, counts, layer.weight)
@@ -278,12 +279,12 @@ class TestDeleteDecompose:
             return [rows[0], (mask, nbhd, count + 1), *rows[2:]]
 
         edit_subgraph_layer(monkeypatch, 2, bump_second)
-        # C6 minus vertex 0 is the path 1-2-3-4-5; its second 2-set is {1, 4} in C6 labels
+        # C6 minus vertex 0 is the path 1-2-3-4-5; its second 2-set is {1, 4}
         with pytest.raises(InternalCheckError, match="delta-b recursion fails for set 0x12"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
     # C6 minus vertex 0 is the path 1-2-3-4-5: its only 3-set is {1, 3, 5},
-    # its last 2-set {3, 5} and its first singleton {1}, in C6 labels
+    # its last 2-set {3, 5} and its first singleton {1}
     @pytest.mark.parametrize(
         "k, index, message",
         [
@@ -307,15 +308,15 @@ class TestDeleteDecompose:
 
     def test_agreement_check_fires_on_a_misplaced_set(self, monkeypatch):
         edit_subgraph_layer(monkeypatch, 2, lambda rows: [rows[1], rows[0], *rows[2:]])
-        # G' set {0, 3} is {1, 4} in C6 labels, paired with G's first survivor {1, 3}
-        with pytest.raises(InternalCheckError, match="set 0x9 of G' does not translate to 0xa"):
+        # G' set {1, 4} now comes first, paired with G's first survivor {1, 3}
+        with pytest.raises(InternalCheckError, match="set 0x12 of G' is not G's survivor 0xa"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
     def test_agreement_check_fires_on_a_leftover_layer(self, monkeypatch):
-        def with_extra_layer(g):
-            yield from iter_layers(g)
-            if g.n == 5:
-                yield Layer(4, (0b1111,), (0b11111,), (1,), 0)
+        def with_extra_layer(g, universe=None):
+            yield from iter_layers(g, universe)
+            if universe is not None:
+                yield Layer(4, (0b11110,), (0b111111,), (1,), 0)
 
         monkeypatch.setattr(polynomial, "iter_layers", with_extra_layer)
         with pytest.raises(InternalCheckError, match="G' has more layers than G"):
@@ -336,7 +337,7 @@ class TestDeleteDecompose:
         def corrupt(rows):
             return [edit(*row) if row[0] == target else row for row in rows]
 
-        edit_subgraph_layer(monkeypatch, 2, corrupt, n=6)
+        edit_subgraph_layer(monkeypatch, 2, corrupt, in_g=True)
         with pytest.raises(InternalCheckError, match=f"{message}.* for set {target:#x}$"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
@@ -353,13 +354,11 @@ class TestDeleteDecompose:
             namespace["delete_decompose"](cycle_graph(6), mask_of([0]))
 
     def test_outside_count_check_fires_on_a_wrong_subgraph(self, monkeypatch):
-        induced_subgraph = polynomial.induced_subgraph
+        # G' gains the edge {1, 5}: N[{1}] there becomes {1, 2, 5}
+        def with_extra_edge(rows):
+            return [(mask, nbhd | 0b100000 if mask == 0b10 else nbhd, b) for mask, nbhd, b in rows]
 
-        def with_extra_edge(g, keep):
-            sub, old = induced_subgraph(g, keep)
-            return Graph.from_edges(sub.n, sub.edges() + [(0, sub.n - 1)]), old
-
-        monkeypatch.setattr(polynomial, "induced_subgraph", with_extra_edge)
+        edit_subgraph_layer(monkeypatch, 1, with_extra_edge)
         with pytest.raises(InternalCheckError, match="outside-count mismatch after deletion for set 0x2"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
