@@ -62,16 +62,17 @@ class BadDistribution(Record):
 class DeletionReport(Record):
     """Decomposition of P_G against P_{G-S} for a removed vertex set S.
 
-    The identity P_G(x) = P_{G-S}(x) - R_S(x) + U_S(x) is verified
-    coefficientwise before the report is returned: U_S collects sets that
-    meet S (weighted in G), R_S the reweighting of sets that survive.
-    ``delta_b`` maps every independent set of G-S (in the original vertex
-    labels) to b_{G-S}(I) - b_G(I), the direct difference of the two
-    b-recursions; the triangular recursion it must satisfy is checked set by
-    set, in integers scaled by n!, before the report is returned.  It is a
-    read-only mapping over those integers, layer by layer and mask-ascending,
-    that builds each exact Fraction when it is read.  ``repr`` leaves
-    ``delta_b`` out.
+    The identity P_G(x) = P_{G-S}(x) - R_S(x) + U_S(x) holds coefficientwise:
+    U_S collects the sets that meet S (weighted in G), R_S the reweighting of
+    the sets that survive.  ``delta_b`` maps every independent set of G-S (in
+    the original vertex labels) to Δb_I = b_{G-S}(I) - b_G(I), layer by layer
+    and mask-ascending, as a read-only mapping of exact Fractions.  The
+    deletion computes each Δb_I from the triangular recursion and keeps it
+    for two layers only, so the mapping is filled when first read, by
+    rerunning that pass.  Of ``delete_decompose``'s checks, (a), (e) and (g)
+    vouch for ``p_g``; (c), (d), (f) and (g) for ``p_gprime``; (e) for
+    ``u_s`` and ``r_s``; (b) and (h) for ``delta_b``, on every pass that
+    fills it.  ``repr`` leaves ``delta_b`` out.
     """
 
     __slots__ = ("removed", "p_g", "p_gprime", "r_s", "u_s", "delta_b")
@@ -84,36 +85,38 @@ class DeletionReport(Record):
     delta_b: Mapping[VertexSet, Fraction]
 
 
-class _ScaledFractions(Mapping):
-    """Read-only mapping of keys to integers over one common denominator.
+class _DeltaB(Mapping):
+    """Read-only mapping of G's survivors to Δb, filled on first read."""
 
-    Each value is built as an exact Fraction when it is read; the integers
-    are held as given, in their insertion order.
-    """
+    __slots__ = ("_g", "_removed", "_table")
 
-    __slots__ = ("_numerators", "_denominator")
+    def __init__(self, g: Graph, removed: VertexSet) -> None:
+        self._g, self._removed, self._table = g, removed, None
 
-    def __init__(self, numerators: dict[VertexSet, int], denominator: int) -> None:
-        self._numerators = numerators
-        self._denominator = denominator
+    def _filled(self) -> dict[VertexSet, Fraction]:
+        if self._table is None:
+            nfact = math.factorial(self._g.n)
+            self._table = {
+                mask: Fraction(delta, nfact)
+                for *_, survivors in _deletion_layers(self._g, self._removed)
+                for mask, (_, delta) in survivors.items()
+            }
+        return self._table
 
     def __getitem__(self, members: VertexSet) -> Fraction:
-        return Fraction(self._numerators[members], self._denominator)
-
-    def __contains__(self, members: object) -> bool:
-        return members in self._numerators
+        return self._filled()[members]
 
     def __iter__(self) -> Iterator[VertexSet]:
-        return iter(self._numerators)
+        return iter(self._filled())
 
     def __len__(self) -> int:
-        return len(self._numerators)
+        return len(self._filled())
 
     def __repr__(self) -> str:
-        return repr(dict(self.items()))
+        return repr(self._filled())
 
     def __reduce__(self):
-        return type(self), (self._numerators, self._denominator)
+        return type(self), (self._g, self._removed)
 
 
 def build_polynomial(g: Graph) -> OrderingPolynomial:
@@ -214,38 +217,29 @@ def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
 def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     """Decompose P_G against G' = G - S, the graph with ``removed`` = S deleted.
 
-    The passes over G and G' run in lockstep, one layer of each resident.
-    G' keeps G's n vertices and labels with every edge at S dropped, and its
-    pass runs over V minus S, a universe no edge leaves, so it yields the
-    sets of G - S in G's labels and counts n! b_{G'}(I) in the same n! units
-    as G's n! b_G(I).  Its layer k is G's layer k less the sets meeting S,
-    in order: one loop walks G's layer and draws each survivor's partner
-    from the layer of G' in turn.  Δb is kept as the integers n! Δb_I, in
-    one table that serves the recursion and backs the report's ``delta_b``.
-    Only P_{G'}'s weight at each degree is rescaled, divided exactly by
-    n!/n'!.
-    Verifies:
-      * the two enumerations agree set by set: each layer of G' has as many
-        sets as G's has outside S, each equal to its partner, and G' has no
-        layer left over;
-      * a_{G'}(I) = a_G(I) - (|S| - |N_G[I] ∩ S|) for every independent I
-        of G';
-      * for every independent I of G', the triangular recursion
-        |N_{G'}[I]| Δb_I = sum_v Δb_{I\\v} + |N_G[I] ∩ S| b_G(I)
-        on Δb_I = b_{G'}(I) - b_G(I), with Δb_∅ = 0, checked exactly in
-        integers scaled by n! on the direct difference of the two passes'
-        counts, n! b_{G'}(I) - n! b_G(I);
-      * the coefficient identity P_G = P_{G'} - R_S + U_S at every degree G'
-        reaches.  Its two sides share no sum: P_G is G's layer weight as the
-        pass accumulated it, while U_S and R_S are summed here set by set,
-        U_S over the sets meeting S and R_S over the survivors as the
-        reweighting
-        w_{G'}(I) - w_G(I) = a_{G'}(I)/n' (b_G(I) + Δb_I) - a_G(I)/n b_G(I),
-        with a_{G'}(I) taken from the outside-count relation above.  A term
-        the pass lost from, or doubled in, G's layer weight fails it; a wrong
-        b or neighbourhood of a single survivor is caught first, by the Δb
-        recursion or the outside-count check of that set.
-    Any violation raises InternalCheckError naming the degree or the set.
+    One pass over G.  Its survivors, the sets I with I ∩ S = ∅, are the
+    independent sets of G', in G's labels and order, and G''s counts come
+    from the paper's triangular recursion on Δ_I = n! Δb_I,
+    |N_{G'}[I]| Δ_I = sum over v in I of Δ_{I\\v} + |N_G[I] ∩ S| B_G(I),
+    with Δ_∅ = 0, so that B_{G'}(I) = n! b_{G'}(I) = B_G(I) + Δ_I.
+    N_{G'}[I] is built as the pass builds N_G[I], from the parent's and the
+    top vertex's closed row in G', which is G's row with S masked off.  Only
+    two layers of (N_{G'}, Δ) stay resident.  Checks, each raising
+    InternalCheckError that names the layer or the set:
+      (a) G's pass runs its own checks (see ``iter_layers``);
+      (b) every division of the Δ recursion is exact;
+      (c) for every survivor I, a_{G'}(I) = n' - |N_{G'}[I]| equals
+          a_G(I) - (|S| - |N_G[I] ∩ S|), two independently built
+          neighbourhoods against each other;
+      (d) G''s own recursion and completeness: for each layer k,
+          the sum of |N_{G'}[J]| B_{G'}(J) over its layer k + 1 equals
+          the sum of a_{G'}(I) B_{G'}(I) over its layer k;
+      (e) the identity P_G = P_{G'} - R_S + U_S at every degree, which with
+          R_S and U_S summed set by set reduces to G's layer weight W_k
+          against the sum of G's per-set terms a_G(I) B_G(I);
+      (f) G''s weight at every degree divides exactly by n!/n'!;
+      (g) ``_polynomial``'s checks on P_G and P_{G'};
+      (h) a survivor with a subset missing from the layer below.
     """
     full = g.full_mask
     if removed & ~full:
@@ -253,77 +247,82 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     if removed == full:
         raise ValueError("cannot remove every vertex; the remainder must be nonempty")
     n = g.n
-    remaining = full & ~removed
-    sub = Graph(n, tuple(row & remaining if remaining >> v & 1 else 0 for v, row in enumerate(g.adj)))
-    removed_size = removed.bit_count()
-    sub_n = n - removed_size
+    sub_n = n - removed.bit_count()
     nfact = math.factorial(n)
     ratio = nfact // math.factorial(sub_n)
-
-    # delta[I] = n! Δb_I, one entry per survivor, in G' pass order
-    g_sums: list[int] = []
-    sub_sums: list[int] = []
-    r_s: list[Fraction] = []
-    u_s: list[Fraction] = []
-    delta: dict[VertexSet, int] = {}
-    sub_pass = iter_layers(sub, remaining)
-    for k, layer in enumerate(iter_layers(g)):
-        sets = layer.sets
-        kept = len(sets) - sum(map(bool, map(removed.__and__, sets)))
-        sub_layer = next(sub_pass, None)
-        sub_kept = len(sub_layer or ())
-        require_internal(kept == sub_kept, f"layer {k}: G' has {sub_kept} sets, G {kept} outside S")
-        partners = iter(())
-        if sub_layer is not None:
-            partners = zip(sub_layer.sets, sub_layer.nbhds, sub_layer.counts)
-        # acc sums a_{G'} n! b_{G'}; meets sums a_G n! b_G over the sets
-        # meeting S; new_w and old_w sum the survivors' a_{G'} n! (b_G + Δb)
-        # and a_G n! b_G
-        acc = meets = new_w = old_w = 0
-        for mask, nbhd, num_g in zip(sets, layer.nbhds, layer.counts):
-            term = (n - nbhd.bit_count()) * num_g
-            if mask & removed:
-                meets += term
-                continue
-            sub_mask, sub_nbhd, num = next(partners)
-            if sub_mask != mask:
-                raise InternalCheckError(f"set {sub_mask:#x} of G' is not G's survivor {mask:#x}")
-            nbhd_size = sub_nbhd.bit_count()
-            acc += (sub_n - nbhd_size) * num
-            overlap = (nbhd & removed).bit_count()
-            a_sub = n - nbhd.bit_count() - (removed_size - overlap)
-            if sub_n - nbhd_size != a_sub:
-                raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
-            d = delta[mask] = num - num_g
-            child_sum, rest = 0, mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                child_sum += delta[mask ^ bit]
-            if nbhd_size * d != child_sum + overlap * num_g if mask else d != 0:
-                raise InternalCheckError(f"delta-b recursion fails for set {mask:#x}")
-            new_w += a_sub * (num_g + d)
-            old_w += term
-        total = layer.weight
+    g_sums, sub_sums, r_s, u_s = [], [], [], []
+    for k, (total, meets, old_w, acc, survivors) in enumerate(_deletion_layers(g, removed)):
         g_sums.append(total)
         u_s.append(Fraction(meets, n * nfact))
-        if sub_layer is None:
-            continue
-        sub_sum, rem = divmod(acc, ratio)
-        require_internal(rem == 0, f"G' weight at degree {k} is not a multiple of n!/n'!")
-        sub_sums.append(sub_sum)
-        # degree k in units of 1 / (n n' n!)
-        reweight = n * new_w - sub_n * old_w
-        if sub_n * total != n * acc - reweight + sub_n * meets:
-            raise InternalCheckError(f"deletion identity fails at degree {k}")
-        r_s.append(Fraction(reweight, n * sub_n * nfact))
-    require_internal(next(sub_pass, None) is None, "G' has more layers than G")
-
+        if survivors:
+            sub_sum, rem = divmod(acc, ratio)
+            require_internal(rem == 0, f"G' weight at degree {k} is not a multiple of n!/n'!")
+            sub_sums.append(sub_sum)
+            # R_S at degree k, in units of 1 / (n n' n!)
+            r_s.append(Fraction(n * acc - sub_n * old_w, n * sub_n * nfact))
     return DeletionReport(
         removed=removed,
         p_g=_polynomial(n, g_sums),
         p_gprime=_polynomial(sub_n, sub_sums),
         r_s=tuple(r_s),
         u_s=tuple(u_s),
-        delta_b=_ScaledFractions(delta, nfact),
+        delta_b=_DeltaB(g, removed),
     )
+
+
+def _deletion_layers(g: Graph, removed: VertexSet) -> Iterator[tuple]:
+    """Per layer k of G: its weight W_k, the sums of a_G(I) B_G(I) over the
+    sets meeting S and over the survivors, the survivors' a_{G'}(I) B_{G'}(I)
+    sum, and the survivors mapped to (N_{G'}[I], Δ_I); checks (b)-(e) and (h)
+    of ``delete_decompose`` run here."""
+    n = g.n
+    removed_size = removed.bit_count()
+    sub_n = n - removed_size
+    sub_closed = [(row | 1 << v) & ~removed for v, row in enumerate(g.adj)]
+    survivors: dict[VertexSet, tuple[VertexSet, int]] = {}
+    acc = 0
+    for layer in iter_layers(g):
+        k, prev, parent_acc, survivors = layer.k, survivors, acc, {}
+        # meets and old_w sum a_G B_G over the sets meeting S and over the
+        # survivors, acc and child sum a_{G'} B_{G'} and |N_{G'}| B_{G'}
+        meets = old_w = acc = child = 0
+        try:
+            for mask, nbhd, num_g in zip(layer.sets, layer.nbhds, layer.counts):
+                outside = n - nbhd.bit_count()
+                if mask & removed:
+                    meets += outside * num_g
+                    continue
+                old_w += outside * num_g
+                if not mask:
+                    survivors[0] = (0, 0)
+                    acc += sub_n * num_g
+                    continue
+                # as in iter_layers, the sum starts from the generating parent's Δ
+                top = mask.bit_length() - 1
+                rest = mask ^ 1 << top
+                sub_nbhd, child_sum = prev[rest]
+                sub_nbhd |= sub_closed[top]
+                size = sub_nbhd.bit_count()
+                overlap = (nbhd & removed).bit_count()
+                if sub_n - size != outside - removed_size + overlap:
+                    raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
+                child_sum += overlap * num_g
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    child_sum += prev[mask ^ bit][1]
+                delta, rem = divmod(child_sum, size)
+                if rem:
+                    raise InternalCheckError(f"delta-b recursion fails for set {mask:#x}")
+                survivors[mask] = (sub_nbhd, delta)
+                num = num_g + delta
+                acc += (sub_n - size) * num
+                child += size * num
+        except KeyError:
+            raise InternalCheckError(f"set {mask:#x} lacks a subset in layer {k - 1}") from None
+        del prev  # before the next G layer is built: two layers of survivors resident
+        require_internal(layer.weight == old_w + meets, f"deletion identity fails at degree {k}")
+        if child != parent_acc:
+            raise InternalCheckError(f"G' child sums at layer {k} differ from layer {k - 1}'s weight")
+        yield layer.weight, meets, old_w, acc, survivors
+    require_internal(not acc, f"G' child sums at layer {k + 1} differ from layer {k}'s weight")

@@ -239,7 +239,7 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
         (1, lambda: eval_partial(g, mask_of([0]), mask_of([2, 3]))),
         (1, lambda: detect_fully_regular(g)),
         (1, lambda: cli.main(["eval", str(path), "--good", "0,2,3"])),
-        (2, lambda: delete_decompose(g, mask_of([4]))),
+        (1, lambda: delete_decompose(g, mask_of([4]))),
     ]
     for expected, feature in features:
         passes.clear()
@@ -268,8 +268,8 @@ def test_delete_decompose_builds_no_fraction_per_delta_b_entry(monkeypatch):
 
 
 def test_delete_decompose_heap_peak_is_within_twice_that_of_sigma():
-    # the deletion holds a layer of each pass and one integer per survivor;
-    # at n = 22 (5,643 independent sets) its peak is about 1.8x sigma's
+    # the deletion holds its pass's layers and two layers of (N_{G'}, Δ) per
+    # survivor; at n = 22 (5,643 independent sets) its peak is about 1.37x sigma's
     g = random_connected_graph(22, 0.15, seed=2)
 
     def peak(run):
@@ -288,47 +288,36 @@ def test_delete_decompose_heap_peak_is_within_twice_that_of_sigma():
     [(cycle_graph(6), mask_of([0])), (random_connected_graph(12, 0.2, seed=7), mask_of([1, 4, 9]))],
     ids=["c6", "random12"],
 )
-def test_delete_decompose_runs_its_two_passes_in_lockstep(monkeypatch, g, removed):
-    drawn = []
-
-    def logged(graph, universe=None):
-        which = "G" if universe is None else "G'"
-        for layer in iter_layers(graph, universe):
-            drawn.append((which, layer.k))
-            yield layer
-
-    monkeypatch.setattr(polynomial, "iter_layers", logged)
-    delete_decompose(g, removed)
-    sub_layers = [k for which, k in drawn if which == "G'"]
-    assert sub_layers == list(range(len(sub_layers)))
-    for k in sub_layers:
-        if ("G", k + 1) in drawn:
-            assert drawn.index(("G'", k)) < drawn.index(("G", k + 1))
-
-
-@pytest.mark.parametrize(
-    "g, removed",
-    [(cycle_graph(6), mask_of([0])), (random_connected_graph(12, 0.2, seed=7), mask_of([1, 4, 9]))],
-    ids=["c6", "random12"],
-)
 def test_delete_decompose_runs_g_prime_in_g_labels(monkeypatch, g, removed):
-    # G' is G with every edge at S dropped, enumerated over V minus S, so its
-    # layers are G's survivors, set for set
-    passes = {}
+    # G' takes no pass of its own: its sets are G's survivors, in G's labels
+    # and G's order
+    passes = []
 
     def logged(graph, universe=None):
-        layers_ = passes[universe] = (graph, [])
+        layers_ = []
+        passes.append((graph, universe, layers_))
         for layer in iter_layers(graph, universe):
-            layers_[1].append(layer.sets)
+            layers_.append(layer.sets)
             yield layer
 
     monkeypatch.setattr(polynomial, "iter_layers", logged)
-    delete_decompose(g, removed)
-    remaining = g.full_mask & ~removed
-    assert passes.keys() == {None, remaining}
-    (whole, g_sets), (sub, sub_sets) = passes[None], passes[remaining]
-    assert whole is g
-    assert sub.n == g.n
-    assert sub.edges() == [(u, v) for u, v in g.edges() if not (1 << u | 1 << v) & removed]
-    survivors = [tuple(mask for mask in sets if not mask & removed) for sets in g_sets]
-    assert sub_sets == [sets for sets in survivors if sets]
+    report = delete_decompose(g, removed)
+    [(graph, universe, g_sets)] = passes
+    assert graph is g and universe is None
+    monkeypatch.setattr(polynomial, "iter_layers", iter_layers)
+    assert list(report.delta_b) == [mask for sets in g_sets for mask in sets if not mask & removed]
+
+
+def test_delete_decompose_reruns_its_pass_only_when_delta_b_is_read(monkeypatch):
+    passes = []
+
+    def counted(g, universe=None):
+        passes.append(universe)
+        return iter_layers(g, universe)
+
+    monkeypatch.setattr(polynomial, "iter_layers", counted)
+    report = delete_decompose(cycle_graph(6), mask_of([0]))
+    repr(report)
+    assert len(passes) == 1
+    assert report.delta_b[0] == 0 and len(report.delta_b) == 13 and list(report.delta_b.values())
+    assert len(passes) == 2

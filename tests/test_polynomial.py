@@ -1,6 +1,8 @@
 import inspect
+import itertools
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from succorder import (
     eval_at_minus_one,
     eval_indicator,
     eval_partial,
+    induced_subgraph,
     iter_layers,
     iter_vertices,
     mask_of,
@@ -44,23 +47,31 @@ from conftest import (
 F = Fraction
 
 
-def edit_subgraph_layer(monkeypatch, k, edit, in_g=False):
-    """Pass layer k of delete_decompose's G' pass on C6 - {0} through ``edit``.
+def edit_g_layer(monkeypatch, k, edit):
+    """Pass layer k of delete_decompose's one pass, over G, through ``edit``.
 
     ``edit`` gets the layer's (mask, nbhd, n! b) rows as a list and returns
-    the rows to yield.  The G' pass is the one run over a universe, here the
-    vertices 1..5; the G pass, over the whole graph, is left alone.  With
-    ``in_g=True`` it is the G pass that is edited, and G' that is left alone.
+    the rows to yield; the layer keeps the weight its pass summed.
     """
     def edited(g, universe=None):
         for layer in iter_layers(g, universe):
-            if (universe is None) == in_g and layer.k == k:
+            if layer.k == k:
                 rows = edit(list(zip(layer.sets, layer.nbhds, layer.counts)))
                 sets, nbhds, counts = (tuple(row[i] for row in rows) for i in range(3))
                 layer = Layer(k, sets, nbhds, counts, layer.weight)
             yield layer
 
     monkeypatch.setattr(polynomial, "iter_layers", edited)
+
+
+def deletion_mutant(monkeypatch, old, new):
+    """Make delete_decompose run a copy of its pass with ``old`` replaced by ``new``."""
+    source = inspect.getsource(polynomial._deletion_layers)
+    mutant = source.replace(old, new)
+    assert mutant != source
+    namespace = dict(vars(polynomial))
+    exec(compile(mutant, polynomial.__file__, "exec"), namespace)
+    monkeypatch.setattr(polynomial, "_deletion_layers", namespace["_deletion_layers"])
 
 
 def dropping(index):
@@ -274,52 +285,55 @@ class TestDeleteDecompose:
         assert copy == report and list(copy.delta_b.items()) == items
 
     def test_delta_b_check_fires_on_a_corrupt_b_value(self, monkeypatch):
-        def bump_second(rows):
-            mask, nbhd, count = rows[1]
-            return [rows[0], (mask, nbhd, count + 1), *rows[2:]]
-
-        edit_subgraph_layer(monkeypatch, 2, bump_second)
-        # C6 minus vertex 0 is the path 1-2-3-4-5; its second 2-set is {1, 4}
-        with pytest.raises(InternalCheckError, match="delta-b recursion fails for set 0x12"):
+        # a source mutant that drops the |N_G[I] ∩ S| B_G(I) term: every Δ is 0,
+        # so G''s counts are G's, and G''s recursion fails at its first step
+        deletion_mutant(monkeypatch, "child_sum += overlap * num_g\n", "\n")
+        with pytest.raises(InternalCheckError, match="G' child sums at layer 1 differ from layer 0's weight"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
-    # C6 minus vertex 0 is the path 1-2-3-4-5: its only 3-set is {1, 3, 5},
-    # its last 2-set {3, 5} and its first singleton {1}
+    # C6's layers, mask-ascending: its last 3-set is {1, 3, 5}, its last 2-set
+    # {3, 5} and its first singleton {0}.  G's pass weight still counts the
+    # dropped set and its per-set terms no longer do; {1, 3, 5} adds a_G = 0 to
+    # that weight, and G''s recursion misses it instead
     @pytest.mark.parametrize(
         "k, index, message",
         [
-            (3, 0, "layer 3: G' has 0 sets, G 1 outside S"),
-            (2, -1, "layer 2: G' has 5 sets, G 6 outside S"),
-            (1, 0, "layer 1: G' has 4 sets, G 5 outside S"),
+            (3, -1, "G' child sums at layer 3 differ from layer 2's weight"),
+            (2, -1, "deletion identity fails at degree 2"),
+            (1, 0, "deletion identity fails at degree 1"),
         ],
         ids=["maximal-3-set", "last-2-set", "first-singleton"],
     )
     def test_agreement_check_fires_on_a_dropped_set(self, monkeypatch, k, index, message):
-        edit_subgraph_layer(monkeypatch, k, dropping(index))
-        with pytest.raises(InternalCheckError, match=message):
+        edit_g_layer(monkeypatch, k, dropping(index))
+        with pytest.raises(InternalCheckError, match=f"{message}$"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
     def test_cli_delete_exits_2_on_a_dropped_set(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "c6.txt"
         path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
-        edit_subgraph_layer(monkeypatch, 2, dropping(-1))
+        edit_g_layer(monkeypatch, 2, dropping(-1))
         assert cli.main(["delete", str(path), "--set", "0", "--json"]) == 2
-        assert "internal check failed: layer 2" in capsys.readouterr().err
-
-    def test_agreement_check_fires_on_a_misplaced_set(self, monkeypatch):
-        edit_subgraph_layer(monkeypatch, 2, lambda rows: [rows[1], rows[0], *rows[2:]])
-        # G' set {1, 4} now comes first, paired with G's first survivor {1, 3}
-        with pytest.raises(InternalCheckError, match="set 0x12 of G' is not G's survivor 0xa"):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+        assert "internal check failed: deletion identity fails at degree 2" in capsys.readouterr().err
 
     def test_agreement_check_fires_on_a_leftover_layer(self, monkeypatch):
+        # an extra G layer whose set {1, 2, 3, 4} has no subsets in layer 3
         def with_extra_layer(g, universe=None):
             yield from iter_layers(g, universe)
-            if universe is not None:
-                yield Layer(4, (0b11110,), (0b111111,), (1,), 0)
+            yield Layer(4, (0b11110,), (0b111111,), (1,), 0)
 
         monkeypatch.setattr(polynomial, "iter_layers", with_extra_layer)
-        with pytest.raises(InternalCheckError, match="G' has more layers than G"):
+        with pytest.raises(InternalCheckError, match="set 0x1e lacks a subset in layer 3"):
+            delete_decompose(cycle_graph(6), mask_of([0]))
+
+    def test_recursion_check_fires_on_a_lost_top_layer(self, monkeypatch):
+        # G's pass stops after layer 2, so no layer counts the extension
+        # {1, 3, 5} of the survivor {1, 3}
+        def truncated(g, universe=None):
+            return itertools.islice(iter_layers(g, universe), 3)
+
+        monkeypatch.setattr(polynomial, "iter_layers", truncated)
+        with pytest.raises(InternalCheckError, match="G' child sums at layer 3 differ from layer 2's weight"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
     # C6's 2-sets that miss vertex 0, mask-ascending: {1, 3}, {1, 4}, {2, 4}, ...
@@ -332,35 +346,72 @@ class TestDeleteDecompose:
         ids=["b", "neighbourhood"],
     )
     def test_per_set_checks_catch_a_corrupt_survivor_in_g(self, monkeypatch, target, edit, message):
-        # a survivor's G term enters P_G, and through it R_S, so the identity alone
-        # would balance; the check of that set fires instead
+        # the check of that set fires before any per-layer sum is compared
         def corrupt(rows):
             return [edit(*row) if row[0] == target else row for row in rows]
 
-        edit_subgraph_layer(monkeypatch, 2, corrupt, in_g=True)
+        edit_g_layer(monkeypatch, 2, corrupt)
         with pytest.raises(InternalCheckError, match=f"{message}.* for set {target:#x}$"):
             delete_decompose(cycle_graph(6), mask_of([0]))
 
-    def test_identity_check_fires_on_a_survivor_term_counted_in_u_s(self):
+    def test_identity_check_fires_on_a_survivor_term_counted_in_u_s(self, monkeypatch):
         # a source mutant that adds each survivor's G term to U_S's sum as well:
         # every per-set check passes, and only the identity sees U_S + P_G' - R_S != P_G
-        source = inspect.getsource(polynomial.delete_decompose)
-        line = "            old_w += term\n"
-        mutant = source.replace(line, line + "            meets += term\n")
-        assert mutant != source
-        namespace = dict(vars(polynomial))
-        exec(compile(mutant, polynomial.__file__, "exec"), namespace)
+        line = "                old_w += outside * num_g\n"
+        deletion_mutant(monkeypatch, line, line + "                meets += outside * num_g\n")
         with pytest.raises(InternalCheckError, match="deletion identity fails at degree 0"):
-            namespace["delete_decompose"](cycle_graph(6), mask_of([0]))
+            delete_decompose(cycle_graph(6), mask_of([0]))
 
     def test_outside_count_check_fires_on_a_wrong_subgraph(self, monkeypatch):
-        # G' gains the edge {1, 5}: N[{1}] there becomes {1, 2, 5}
-        def with_extra_edge(rows):
-            return [(mask, nbhd | 0b100000 if mask == 0b10 else nbhd, b) for mask, nbhd, b in rows]
-
-        edit_subgraph_layer(monkeypatch, 1, with_extra_edge)
+        # a source mutant that leaves S in G''s rows: N_{G'}[{1}] becomes {0, 1, 2}
+        deletion_mutant(monkeypatch, " & ~removed for v", " for v")
         with pytest.raises(InternalCheckError, match="outside-count mismatch after deletion for set 0x2"):
             delete_decompose(cycle_graph(6), mask_of([0]))
+
+    def test_recursion_check_fires_on_a_survivor_term_left_out(self, monkeypatch):
+        # a source mutant whose layer-2 sum of |N_{G'}[J]| B_{G'}(J) skips {1, 3}
+        line = "                child += size * num\n"
+        deletion_mutant(monkeypatch, line, line.replace("\n", " if mask != 0b1010 else 0\n"))
+        with pytest.raises(InternalCheckError, match="G' child sums at layer 2 differ from layer 1's weight"):
+            delete_decompose(cycle_graph(6), mask_of([0]))
+
+    # C6 minus vertex 0: n!/n'! = 6 and n' = 5
+    @pytest.mark.parametrize("extra, message", [
+        (1, "G' weight at degree 1 is not a multiple of n!/n'!"),
+        (6, "F coefficient at degree 1 is not integral"),
+    ], ids=["ratio", "polynomial"])
+    def test_weight_checks_fire_on_a_g_prime_weight_off_by(self, monkeypatch, extra, message):
+        pass_ = polynomial._deletion_layers
+
+        def shifted(g, removed):
+            for k, (total, meets, old_w, acc, survivors) in enumerate(pass_(g, removed)):
+                yield total, meets, old_w, acc + extra * (k == 1), survivors
+
+        monkeypatch.setattr(polynomial, "_deletion_layers", shifted)
+        with pytest.raises(InternalCheckError, match=message):
+            delete_decompose(cycle_graph(6), mask_of([0]))
+
+    def test_g_prime_matches_its_own_pass(self, connected_catalog):
+        # independent routes to P_{G-S}: the relabelled induced subgraph, and a
+        # pass over V minus S on G with the edges at S dropped, whose a(I) counts
+        # the |S| isolated vertices as well
+        rng = random.Random(11)
+        pairs = []
+        for i in range(400):
+            n = 2 + i % 13
+            g = random_connected_graph(n, (0.15, 0.3, 0.5)[i % 3], seed=3000 + i)
+            pairs.append((g, rng.randrange(1, g.full_mask)))
+        pairs += [(g, 1 << i % g.n) for i, g in enumerate(connected_catalog) if g.n > 1]
+        for g, removed in pairs:
+            report = delete_decompose(g, removed)
+            remaining = g.full_mask & ~removed
+            assert report.p_gprime == build_polynomial(induced_subgraph(g, remaining)[0])
+            sub = Graph(g.n, tuple(row & remaining if remaining >> v & 1 else 0 for v, row in enumerate(g.adj)))
+            sub_n = remaining.bit_count()
+            scale = sub_n * math.factorial(g.n) // math.factorial(sub_n)
+            weights = [layer.weight - (g.n - sub_n) * sum(layer.counts) for layer in iter_layers(sub, remaining)]
+            assert [c * scale for c in report.p_gprime.f_coeffs] == weights[:len(report.p_gprime.f_coeffs)]
+            assert not any(weights[len(report.p_gprime.f_coeffs):])
 
     def test_random_pairs(self):
         for i in range(25):
