@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "counting": (
         "PERMUTATION_SUM_MAX", "BTable", "SigmaResult", "b_permutation_sum", "compute_b_table",
-        "pr_bad_via_mobius", "pr_good", "sigma", "weight",
+        "eval_partial", "pr_bad_via_mobius", "pr_good", "sigma", "weight",
     ),
     "errors": ("InternalCheckError", "ParseError", "VerificationError"),
     "graph": (
@@ -34,7 +34,6 @@ _EXPORTS = {
     "polynomial": (
         "BadDistribution", "DeletionReport", "OrderingPolynomial", "bad_distribution",
         "build_polynomial", "delete_decompose", "eval_at_minus_one", "eval_indicator",
-        "eval_partial",
     ),
     "randgraph": ("random_connected_graph",),
     "regular": (

@@ -7,12 +7,20 @@ Big integers are serialized as decimal strings and rationals as
 "numerator/denominator" in lowest terms, so machine consumers never lose
 precision.
 
+Arguments are parsed with one table, ``_COMMANDS``: per command, the
+handler, whether it reads an edge-list path, and its options with a
+converter and a default.  The same table prints ``-h``.  Options go on
+either side of the path, as ``--opt VALUE`` or ``--opt=VALUE``, and are
+spelled in full.  argparse is not used: importing it, with gettext and
+locale, and building its parser cost about 6 ms a process.
+
 This module imports only ``errors`` and ``graph`` at load time; each
 command handler imports the engine modules it calls when it runs.  So
-``count`` loads ``layers`` and ``counting`` and nothing else of the
-package, ``poly``, ``eval`` and ``delete`` add ``polynomial``, ``regular``
-loads ``regular``, ``bench`` adds ``randgraph``, and only ``verify``
-imports the oracle.
+``count`` and ``eval`` load ``layers`` and ``counting`` and nothing else
+of the package, ``poly``, ``distribution`` and ``delete`` add
+``polynomial``, ``regular`` loads ``layers`` and ``regular``, ``bench``
+adds ``polynomial`` and ``randgraph``, and only ``verify`` imports the
+oracle.
 
 The stderr ``elapsed: <x> ms`` line times only what follows argument
 parsing: reading the input, the handler's engine imports (about 6 ms for
@@ -26,7 +34,6 @@ Exit codes: 0 success, 1 input error, 2 internal assertion failure,
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -42,13 +49,13 @@ EXIT_INTERNAL = 2
 EXIT_MISMATCH = 3
 
 
-def _input_graph(args: argparse.Namespace) -> Graph:
+def _input_graph(opts: dict) -> Graph:
     """The edge-list file named on the command line, or bench's seeded graph."""
-    if args.command == "bench":
+    if opts["command"] == "bench":
         from .randgraph import random_connected_graph
 
-        return random_connected_graph(args.n, args.density, args.seed)
-    with open(args.path, encoding="utf-8") as handle:
+        return random_connected_graph(opts["n"], opts["density"], opts["seed"])
+    with open(opts["path"], encoding="utf-8") as handle:
         return parse_edge_list(handle.read())
 
 
@@ -74,14 +81,14 @@ def _parse_vertex_list(g: Graph, text: str | None) -> int:
     return mask_of(vertices)
 
 
-def _cmd_count(args: argparse.Namespace, g: Graph) -> dict:
+def _cmd_count(opts: dict, g: Graph) -> dict:
     from .counting import sigma
 
     result = sigma(g)
     return {"sigma": str(result.sigma), "sigma_prime": str(result.sigma_prime)}
 
 
-def _cmd_poly(args: argparse.Namespace, g: Graph) -> dict:
+def _cmd_poly(opts: dict, g: Graph) -> dict:
     from .polynomial import bad_distribution, build_polynomial, eval_at_minus_one
 
     poly = build_polynomial(g)
@@ -96,11 +103,11 @@ def _cmd_poly(args: argparse.Namespace, g: Graph) -> dict:
     }
 
 
-def _cmd_eval(args: argparse.Namespace, g: Graph) -> dict:
-    from .polynomial import eval_partial
+def _cmd_eval(opts: dict, g: Graph) -> dict:
+    from .counting import eval_partial
 
-    good = _parse_vertex_list(g, args.good)
-    bad = _parse_vertex_list(g, args.bad)
+    good = _parse_vertex_list(g, opts["good"])
+    bad = _parse_vertex_list(g, opts["bad"])
     return {
         "good": vertices_of(good & ~bad),
         "bad": vertices_of(bad),
@@ -108,10 +115,10 @@ def _cmd_eval(args: argparse.Namespace, g: Graph) -> dict:
     }
 
 
-def _cmd_delete(args: argparse.Namespace, g: Graph) -> dict:
+def _cmd_delete(opts: dict, g: Graph) -> dict:
     from .polynomial import delete_decompose
 
-    removed = _parse_vertex_list(g, args.set)
+    removed = _parse_vertex_list(g, opts["set"])
     report = delete_decompose(g, removed)
     return {
         "set": vertices_of(removed),
@@ -122,7 +129,7 @@ def _cmd_delete(args: argparse.Namespace, g: Graph) -> dict:
     }
 
 
-def _cmd_regular(args: argparse.Namespace, g: Graph) -> dict:
+def _cmd_regular(opts: dict, g: Graph) -> dict:
     from .regular import RegularityProfile, detect_fully_regular
 
     verdict = detect_fully_regular(g)
@@ -144,14 +151,14 @@ def _cmd_regular(args: argparse.Namespace, g: Graph) -> dict:
     }
 
 
-def _cmd_verify(args: argparse.Namespace, g: Graph) -> dict:
+def _cmd_verify(opts: dict, g: Graph) -> dict:
     import random
 
-    from .counting import pr_good, sigma
+    from .counting import eval_partial, pr_good, sigma
     from .oracle import ORACLE_MAX_N, brute_distribution, brute_event, brute_sigma
-    from .polynomial import bad_distribution, build_polynomial, eval_partial
+    from .polynomial import bad_distribution, build_polynomial
 
-    limit = ORACLE_MAX_N if args.max_n is None else min(args.max_n, ORACLE_MAX_N)
+    limit = ORACLE_MAX_N if opts["max_n"] is None else min(opts["max_n"], ORACLE_MAX_N)
     if g.n > limit:
         raise ValueError(f"verify is limited to n <= {limit}, got n = {g.n}")
 
@@ -167,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace, g: Graph) -> dict:
             f"distribution: engine {engine_dist} != oracle {oracle_dist}"
         )
 
-    rng = random.Random(args.seed)
+    rng = random.Random(opts["seed"])
     samples = 0
     for _ in range(8):
         universe = rng.getrandbits(g.n)
@@ -197,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace, g: Graph) -> dict:
     }
 
 
-def _cmd_bench(args: argparse.Namespace, g: Graph) -> dict:
+def _cmd_bench(opts: dict, g: Graph) -> dict:
     from .counting import sigma
     from .polynomial import bad_distribution, build_polynomial, eval_at_minus_one
 
@@ -211,9 +218,9 @@ def _cmd_bench(args: argparse.Namespace, g: Graph) -> dict:
         "count, polynomial value and zero-bad count disagree",
     )
     return {
-        "n": args.n,
-        "density": args.density,
-        "seed": args.seed,
+        "n": opts["n"],
+        "density": opts["density"],
+        "seed": opts["seed"],
         "sigma": str(result.sigma),
         "sigma_prime": str(result.sigma_prime),
         "elapsed_ms": round(elapsed_ms, 3),
@@ -237,65 +244,172 @@ def _emit(doc: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with the input-error code, not argparse's 2."""
+_DESCRIPTION = "Exact counting of successive vertex orderings of simple graphs."
+_PATH_HELP = "edge-list file ('n m' header, then 'u v' lines)"
+_JSON = {"--json": (None, False, None, "emit one JSON document")}
 
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+#: Command name -> (handler, whether it reads an edge-list path, help, options).
+#: Each option maps to (converter, default, metavar, help); a converter of
+#: None makes a flag that takes no value and defaults to False.  The table
+#: both parses argv and prints ``-h``.
+_COMMANDS = {
+    "count": (_cmd_count, True, "count the successive vertex orderings", _JSON),
+    "poly": (_cmd_poly, True, "ordering polynomial coefficients", _JSON),
+    "distribution": (_cmd_poly, True, "orderings by bad-vertex count", _JSON),
+    "eval": (_cmd_eval, True, "event probabilities over vertex sets", {
+        **_JSON,
+        "--good": (str, None, "LIST", "comma-separated vertices required good"),
+        "--bad": (str, None, "LIST", "comma-separated vertices required bad"),
+    }),
+    "delete": (_cmd_delete, True, "vertex-deletion decomposition", {
+        **_JSON,
+        "--set": (str, None, "LIST", "comma-separated vertices to delete"),
+    }),
+    "regular": (_cmd_regular, True, "fully-regular profile or witness", _JSON),
+    "verify": (_cmd_verify, True, "compare the engine against the exact oracle", {
+        **_JSON,
+        "--max-n": (_decimal, None, "MAX_N", "size guard (default: the oracle's cap)"),
+        "--seed": (_decimal, 0, "SEED", "seed for sampled events"),
+    }),
+    "bench": (_cmd_bench, False, "time the engine on a random graph", {
+        **_JSON,
+        "--n": (_decimal, 20, "N", "vertex count"),
+        "--density": (_density, 0.2, "DENSITY", "extra-edge density"),
+        "--seed": (_decimal, 0, "SEED", "graph seed"),
+    }),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="succorder",
-        description="Exact counting of successive vertex orderings of simple graphs.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _is_option(arg: str) -> bool:
+    return arg.startswith("-") and arg != "-"
 
-    def file_cmd(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("path", help="edge-list file ('n m' header, then 'u v' lines)")
-        p.set_defaults(handler=handler)
-        return p
 
-    file_cmd("count", _cmd_count, "count the successive vertex orderings")
-    file_cmd("poly", _cmd_poly, "ordering polynomial coefficients")
-    file_cmd("distribution", _cmd_poly, "orderings by bad-vertex count")
+def _dest(name: str) -> str:
+    """The key of an option in the parsed dict: ``--max-n`` as ``max_n``."""
+    return name[2:].replace("-", "_")
 
-    p_eval = file_cmd("eval", _cmd_eval, "event probabilities over vertex sets")
-    p_eval.add_argument("--good", metavar="LIST", help="comma-separated vertices required good")
-    p_eval.add_argument("--bad", metavar="LIST", help="comma-separated vertices required bad")
 
-    p_delete = file_cmd("delete", _cmd_delete, "vertex-deletion decomposition")
-    p_delete.add_argument("--set", metavar="LIST", help="comma-separated vertices to delete")
+def _spelling(name: str, spec: tuple) -> str:
+    """An option as its usage shows it: ``--json``, or ``--good LIST``."""
+    return name if spec[0] is None else f"{name} {spec[2]}"
 
-    file_cmd("regular", _cmd_regular, "fully-regular profile or witness")
 
-    p_verify = file_cmd("verify", _cmd_verify, "compare the engine against the exact oracle")
-    p_verify.add_argument("--max-n", type=_decimal, help="size guard (default: the oracle's cap)")
-    p_verify.add_argument("--seed", type=_decimal, default=0, help="seed for sampled events")
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: succorder [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
+    _, takes_path, _, options = _COMMANDS[command]
+    words = ["usage: succorder", command, "[-h]"]
+    words += [f"[{_spelling(name, spec)}]" for name, spec in options.items()]
+    return " ".join(words + ["path"] if takes_path else words)
 
-    p_bench = sub.add_parser("bench", parents=[common], help="time the engine on a random graph")
-    p_bench.add_argument("--n", type=_decimal, default=20, help="vertex count")
-    p_bench.add_argument("--density", type=_density, default=0.2, help="extra-edge density")
-    p_bench.add_argument("--seed", type=_decimal, default=0, help="graph seed")
-    p_bench.set_defaults(handler=_cmd_bench)
 
-    return parser
+def _help(command: str | None) -> str:
+    help_row = ("-h, --help", "show this help message and exit")
+    if command is None:
+        lines = [_usage(None), "", _DESCRIPTION]
+        sections = [
+            ("commands", [(name, entry[2]) for name, entry in _COMMANDS.items()]),
+            ("options", [help_row, ("--version", "show the version and exit")]),
+        ]
+    else:
+        _, takes_path, text, options = _COMMANDS[command]
+        lines = [_usage(command), "", f"{text.capitalize()}."]
+        sections = [
+            ("positional arguments", [("path", _PATH_HELP)] if takes_path else []),
+            ("options", [help_row, *((_spelling(*item), item[1][3]) for item in options.items())]),
+        ]
+    width = max(len(label) for _, rows in sections for label, _ in rows) + 2
+    for title, rows in sections:
+        if rows:
+            lines += ["", f"{title}:", *(f"  {label:<{width}}{text}" for label, text in rows)]
+    return "\n".join(lines)
+
+
+def _usage_error(command: str | None, message: str) -> None:
+    prog = "succorder" if command is None else f"succorder {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    sys.exit(EXIT_INPUT)
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """The command, its ``path`` and its options by ``_dest`` name.
+
+    Options go on either side of the path, as ``--opt VALUE`` or
+    ``--opt=VALUE``, and everything after ``--`` is positional.  Long
+    options are spelled in full.  A usage error exits with EXIT_INPUT;
+    ``-h``, ``--help`` and ``--version`` print to stdout and exit with EXIT_OK.
+    """
+    args = iter(argv)
+    unrecognized = []
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(_help(None))
+            sys.exit(EXIT_OK)
+        if arg == "--version":
+            print(f"succorder {__version__}")
+            sys.exit(EXIT_OK)
+        if not _is_option(arg):
+            command = arg
+            break
+        unrecognized.append(arg)
+    else:
+        _usage_error(None, "the following arguments are required: command")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, takes_path, _, options = _COMMANDS[command]
+    opts = {"command": command, "path": None}
+    opts.update((_dest(name), spec[1]) for name, spec in options.items())
+    positional_only = False
+    for arg in args:
+        if positional_only or not _is_option(arg):
+            if takes_path and opts["path"] is None:
+                opts["path"] = arg
+            else:
+                unrecognized.append(arg)
+            continue
+        if arg == "--":
+            positional_only = True
+            continue
+        if arg in ("-h", "--help"):
+            print(_help(command))
+            sys.exit(EXIT_OK)
+        name, has_value, value = arg.partition("=")
+        spec = options.get(name)
+        if spec is None:
+            unrecognized.append(arg)
+            continue
+        convert = spec[0]
+        if convert is None:
+            if has_value:
+                _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if not has_value:
+                value = next(args, None)
+                if value is None or _is_option(value):
+                    _usage_error(command, f"argument {name}: expected one argument")
+            try:
+                value = convert(value)
+            except ValueError as exc:
+                _usage_error(command, f"argument {name}: {exc}")
+        opts[_dest(name)] = value
+    if takes_path and opts["path"] is None:
+        _usage_error(command, "the following arguments are required: path")
+    if unrecognized:
+        _usage_error(None, f"unrecognized arguments: {' '.join(unrecognized)}")
+    return opts
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    opts = _parse_args(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
     try:
-        g = _input_graph(args)
+        g = _input_graph(opts)
         connected = is_connected(g)
         if not connected:
             print("warning: graph is disconnected; it has no successive ordering", file=sys.stderr)
-        payload = args.handler(args, g)
+        payload = _COMMANDS[opts["command"]][0](opts, g)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -306,11 +420,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     doc = {
-        "command": args.command,
+        "command": opts["command"],
         "input": {"n": g.n, "edges": g.edge_count, "connected": connected},
         "payload": payload,
     }
-    _emit(doc, args.json)
+    _emit(doc, opts["json"])
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed: {elapsed_ms:.3f} ms", file=sys.stderr)
     return EXIT_OK

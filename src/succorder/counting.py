@@ -28,7 +28,9 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
 from .errors import require_internal
-from .graph import Graph, Record, VertexSet, a_value, is_independent, vertices_of
+from .graph import (
+    Graph, Record, VertexSet, a_value, is_independent, open_neighborhood, vertices_of,
+)
 from .layers import iter_layers
 
 #: Cap on |I| for the factorial-cost permutation-sum cross-check.
@@ -183,6 +185,24 @@ def pr_good(g: Graph, universe: VertexSet) -> Fraction:
     the signed sum of w(I) over independent I contained in ``universe``.
     """
     return _alternating_total(g, universe)
+
+
+def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
+    """Partial derivatives in the T variables, evaluated at -1_S.
+
+    Equals sum over independent I with T ⊆ I ⊆ S∪T of (-1)^|I\\T| w(I),
+    which is Pr(every vertex of T bad and every vertex of S\\T good).  When
+    T is not independent there are no independent supersets and the value
+    is 0.  Every independent superset of T avoids T's open neighbourhood
+    N(T), and b(I) does not depend on the universe, so the pass enumerates
+    only (S∪T) minus N(T).
+    """
+    if (bad_set | good_set) & ~g.full_mask:
+        raise ValueError("vertex set mentions vertices outside the graph")
+    outside = open_neighborhood(g, bad_set)
+    if bad_set & outside:
+        return Fraction(0)
+    return _alternating_total(g, (bad_set | good_set) & ~outside, required=bad_set)
 
 
 def pr_bad_via_mobius(g: Graph, members: VertexSet) -> Fraction:

@@ -9,6 +9,7 @@ representation would pay off.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
 
 from .errors import ParseError
@@ -150,23 +151,47 @@ def _decimal(field: str) -> int:
     return int(field)
 
 
+#: How many characters ``_lines`` splits at a time, at least.
+_BLOCK = 4096
+#: Where ``_lines`` may end a block: after a line feed, or after a carriage
+#: return that does not start a CRLF pair.  Both end a line for ``splitlines``.
+_CUT = re.compile(r"\n|\r(?!\n)")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as ``text.splitlines()`` gives them, a block at a time.
+
+    Only one block's lines are held at once, not a list of every line, and
+    no character is searched twice for a cut, so the walk is linear in the
+    text.
+    """
+    start = 0
+    while start < len(text):
+        cut = _CUT.search(text, start + _BLOCK)
+        end = cut.end() if cut else len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     The first non-comment line is ``n m``; the following m non-comment lines
     are ``u v`` with 0-based endpoints; every field is ASCII ``[0-9]+``.
     Lines starting with ``#`` and blank lines are skipped.  Duplicate edges
-    are tolerated (they collapse to one).
+    are tolerated (they collapse to one).  Lines are read one at a time and
+    each edge goes straight into the adjacency rows, so parsing holds no
+    per-line or per-edge list: its memory does not grow with the text.
     """
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    n = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip().lstrip("﻿")
+    n = edges = 0
+    m: int | None = None
+    adj: list[int] = []
+    for lineno, raw in enumerate(_lines(text), start=1):
+        line = raw.strip().lstrip("\ufeff")
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if header is None:
+        fields = line.split(None, 2)
+        if m is None:
             if len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected header 'n m', got {line!r}")
             try:
@@ -175,10 +200,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer header field in {line!r}") from None
             if not 1 <= n <= MAX_VERTICES:
                 raise ParseError(f"line {lineno}: vertex count {n} outside [1, {MAX_VERTICES}]")
-            header = (n, m)
+            adj = [0] * n
             continue
-        if len(edges) >= header[1]:
-            raise ParseError(f"line {lineno}: unexpected data after {header[1]} edges")
+        if edges >= m:
+            raise ParseError(f"line {lineno}: unexpected data after {m} edges")
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected edge 'u v', got {line!r}")
         try:
@@ -189,12 +214,14 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: vertex index out of range in {line!r}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
-    if header is None:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        edges += 1
+    if m is None:
         raise ParseError("line 1: empty input, expected header 'n m'")
-    if len(edges) != header[1]:
-        raise ParseError(f"expected {header[1]} edges, found only {len(edges)}")
-    return Graph.from_edges(header[0], edges)
+    if edges != m:
+        raise ParseError(f"expected {m} edges, found only {edges}")
+    return Graph(n, tuple(adj))
 
 
 def open_neighborhood(g: Graph, members: VertexSet) -> VertexSet:

@@ -18,15 +18,15 @@ import math
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .counting import (
+from .counting import (  # eval_partial is re-exported: perfbench traces polynomial.eval_partial
     SigmaResult,
-    _alternating_total,
     _layer_weights,
     compute_b_table,
+    eval_partial,
     weight,
 )
 from .errors import InternalCheckError, require_internal
-from .graph import Graph, Record, VertexSet, open_neighborhood
+from .graph import Graph, Record, VertexSet
 from .layers import iter_layers
 
 
@@ -194,24 +194,6 @@ def eval_indicator(g: Graph, good_set: VertexSet) -> Fraction:
                 continue
             total += sign * weight(g, mask, table)
     return total
-
-
-def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
-    """Partial derivatives in the T variables, evaluated at -1_S.
-
-    Equals sum over independent I with T ⊆ I ⊆ S∪T of (-1)^|I\\T| w(I),
-    which is Pr(every vertex of T bad and every vertex of S\\T good).  When
-    T is not independent there are no independent supersets and the value
-    is 0.  Every independent superset of T avoids T's open neighbourhood
-    N(T), and b(I) does not depend on the universe, so the pass enumerates
-    only (S∪T) minus N(T).
-    """
-    if (bad_set | good_set) & ~g.full_mask:
-        raise ValueError("vertex set mentions vertices outside the graph")
-    outside = open_neighborhood(g, bad_set)
-    if bad_set & outside:
-        return Fraction(0)
-    return _alternating_total(g, (bad_set | good_set) & ~outside, required=bad_set)
 
 
 def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:

@@ -258,7 +258,8 @@ def imports_after_main(argv):
 
 
 class TestImportPath:
-    """Only verify loads the oracle, and no command loads numpy."""
+    """Only verify loads the oracle, count and eval load no polynomial, and no
+    command loads numpy or an argument parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -297,6 +298,33 @@ class TestImportPath:
         loaded = {name for _, name in importtime_tree(proc.stderr) if name.startswith("succorder")}
         engine = {f"succorder.{m}" for m in ("errors", "graph", "layers", "counting")}
         assert loaded == {"succorder", "succorder.cli"} | engine
+
+    def test_eval_loads_only_the_counting_engine(self, c5chord_file):
+        # eval_partial lives in counting, so eval never compiles polynomial
+        proc = module_run("-m", "succorder", "eval", c5chord_file, "--good", "1,2", "--bad", "0")
+        loaded = {name for _, name in importtime_tree(proc.stderr) if name.startswith("succorder")}
+        engine = {f"succorder.{m}" for m in ("errors", "graph", "layers", "counting")}
+        assert loaded == {"succorder", "succorder.cli"} | engine
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "{path}"],
+            ["poly", "{path}"],
+            ["distribution", "{path}"],
+            ["eval", "{path}", "--good", "1,2", "--bad", "0"],
+            ["delete", "{path}", "--set", "4"],
+            ["regular", "{path}"],
+            ["verify", "{path}"],
+            ["bench", "--n", "8"],
+        ],
+    )
+    def test_no_command_loads_an_argument_parser(self, argv, c5chord_file):
+        proc = module_run("-m", "succorder", *[arg.format(path=c5chord_file) for arg in argv])
+        rows = importtime_tree(proc.stderr)
+        for module in ("argparse", "gettext", "locale"):
+            chain = importers(rows, module) or []
+            assert not [name for name in chain if name.startswith("succorder")], (module, chain)
 
     @pytest.mark.parametrize("module", ["dataclasses", "inspect", "numpy"])
     def test_no_package_module_imports(self, module):
@@ -377,3 +405,70 @@ class TestExitCodeMapping:
         proc = run_cli("count", c5chord_file, "--threads", "0")
         assert proc.returncode == 1
         assert "unrecognized arguments: --threads" in proc.stderr
+
+
+class TestArguments:
+    """The command table parses argv and prints the usage."""
+
+    def main_output(self, capsys, argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().out
+
+    def test_option_value_after_an_equals_sign(self, capsys, p3_file):
+        spaced = self.main_output(capsys, ["eval", p3_file, "--good", "1,2", "--json"])
+        joined = self.main_output(capsys, ["eval", p3_file, "--good=1,2", "--json"])
+        assert spaced == joined
+        assert json.loads(joined[1])["payload"]["good"] == [1, 2]
+
+    def test_options_on_either_side_of_the_path(self, capsys, c5chord_file):
+        before = self.main_output(capsys, ["count", "--json", c5chord_file])
+        after = self.main_output(capsys, ["count", c5chord_file, "--json"])
+        assert before == after
+        assert json.loads(after[1])["payload"]["sigma"] == "60"
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--help"], ["count", "poly", "distribution", "eval", "delete", "regular", "verify",
+                          "bench"]),
+            (["eval", "-h"], ["--good", "--bad"]),
+        ],
+    )
+    def test_help_names_the_commands_and_options(self, capsys, argv, names):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: succorder")
+        assert all(name in out for name in names)
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "succorder 0.1.0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{path}", "--good"],
+            ["bogus", "{path}"],
+            ["count", "{path}", "{path}"],
+            ["count", "{path}", "--json=1"],
+        ],
+        ids=["option-without-value", "unknown-command", "second-path", "flag-with-value"],
+    )
+    def test_usage_errors_exit_1_with_the_usage(self, capsys, argv, c5chord_file):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([arg.format(path=c5chord_file) for arg in argv])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: succorder")
+        assert "error: " in err
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch, c5chord_file):
+        # the console script succorder.cli:main calls main() with no argument
+        monkeypatch.setattr(sys, "argv", ["succorder", "count", c5chord_file, "--json"])
+        code, out = self.main_output(capsys, None)
+        assert code == 0
+        assert json.loads(out)["payload"]["sigma"] == "60"

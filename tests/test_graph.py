@@ -1,8 +1,10 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+import succorder.graph
 from succorder import (
     Graph,
     ParseError,
@@ -47,6 +49,48 @@ class TestParse:
 
     def test_crlf_accepted(self):
         assert parse_edge_list("3 2\r\n0 1\r\n1 2\r\n") == path_graph(3)
+
+    def test_cr_accepted(self):
+        assert parse_edge_list("3 2\r0 1\r\r1 2") == path_graph(3)
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("2 1\r\n\r\n0 5\r\n", "line 3"),
+            ("2 1\r\r0 5\r", "line 3"),
+            ("2 1\n\r\n0 5", "line 3"),
+            # str.splitlines breaks lines at \v and \x85 too, so neither joins two fields
+            ("2 1\n0\v1\n", "line 2"),
+            ("2 1\n0 1\x850 1\n", "line 3"),
+        ],
+    )
+    def test_line_numbers_follow_every_line_break(self, text, fragment):
+        with pytest.raises(ParseError, match=fragment):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 4096])
+    @pytest.mark.parametrize(
+        "text",
+        ["# c\r\n3 2\r0 1\r\n\x85\r\r1 2\v", "3 2\r0 1\r\r1 2", "\n\n3 1\n0 2"],
+        ids=["mixed-breaks", "cr-only", "lf-only"],
+    )
+    def test_blocks_split_lines_as_splitlines_does(self, monkeypatch, block, text):
+        monkeypatch.setattr(succorder.graph, "_BLOCK", block)
+        assert list(succorder.graph._lines(text)) == text.splitlines()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_heap_peak_stays_below_the_text_length(self, eol):
+        # 10^5 copies of one duplicate edge: a list of lines or of edge tuples
+        # would take about 30 times the text
+        text = "2 100000" + eol + ("0 1" + eol) * 100_000
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == path_graph(2)
+        assert peak < len(text)
 
     @pytest.mark.parametrize(
         "text, fragment",

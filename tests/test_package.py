@@ -53,6 +53,13 @@ def test_bare_import_loads_no_submodule():
     assert proc.stdout.split() == ["succorder"]
 
 
+def test_eval_partial_is_one_function_under_three_names():
+    # it is defined in counting; polynomial re-exports it
+    from succorder import counting, polynomial
+
+    assert succorder.eval_partial is counting.eval_partial is polynomial.eval_partial
+
+
 def test_names_and_submodules_resolve_on_first_lookup():
     assert succorder.graph.iter_vertices is succorder.iter_vertices
     assert succorder.polynomial.DeletionReport is succorder.DeletionReport
