@@ -91,8 +91,7 @@ class Graph(Record):
     """A finite simple graph: vertex count ``n`` plus per-vertex neighbour masks ``adj``.
 
     ``adj[v]`` is the open neighbourhood of ``v``.  Instances are immutable
-    and hashable, so they are safe to share across workers and usable as
-    cache keys.
+    and hashable, so they can be shared freely and used as cache keys.
     """
 
     __slots__ = ("n", "adj")

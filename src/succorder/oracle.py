@@ -63,7 +63,9 @@ def _prefix_counts(g: Graph, bad_req: VertexSet, good_req: VertexSet) -> list[in
     carries its open neighbourhood N(P): a free vertex in N(P) steps in
     good, any other bad, so each prefix splits its free vertices once into
     a good-step and a bad-step mask, with the steps that break the event
-    already left out.  Only the prefixes of two sizes are held at a time,
+    already left out.  A prefix whose N(P) holds a free required-bad vertex
+    is dropped: that vertex can only step in good, so no chain through P
+    meets the event.  Only the prefixes of two sizes are held at a time,
     as {prefix mask: [N(P), counts]}.
     """
     n, full = g.n, g.full_mask
@@ -75,6 +77,8 @@ def _prefix_counts(g: Graph, bad_req: VertexSet, good_req: VertexSet) -> list[in
         below, layer = layer, {}
         for prefix, (nbhd, counts) in below.items():
             free = full & ~prefix
+            if free & nbhd & bad_req:
+                continue  # a required-bad vertex already has an earlier neighbour
             good, bad = free & nbhd & ~bad_req, free & ~nbhd & ~good_req
             for steps, step_counts in ((good, counts), (bad, counts << w)):
                 while steps:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from itertools import zip_longest
 
 from .counting import (  # eval_partial is re-exported: perfbench traces polynomial.eval_partial
     SigmaResult,
@@ -67,12 +68,13 @@ class DeletionReport(Record):
     the sets that survive.  ``delta_b`` maps every independent set of G-S (in
     the original vertex labels) to Δb_I = b_{G-S}(I) - b_G(I), layer by layer
     and mask-ascending, as a read-only mapping of exact Fractions.  The
-    deletion computes each Δb_I from the triangular recursion and keeps it
-    for two layers only, so the mapping is filled when first read, by
-    rerunning that pass.  Of ``delete_decompose``'s checks, (a), (e) and (g)
-    vouch for ``p_g``; (c), (d), (f) and (g) for ``p_gprime``; (e) for
-    ``u_s`` and ``r_s``; (b) and (h) for ``delta_b``, on every pass that
-    fills it.  ``repr`` leaves ``delta_b`` out.
+    deletion itself needs only per-degree sums and never computes Δb: the
+    mapping is filled when first read, by the paper's triangular recursion.
+    Of ``delete_decompose``'s checks, (a), (e) and (g) vouch for ``p_g`` on
+    every call; (f), (g), (i) and (j) for ``p_gprime``; (e) for ``u_s`` and
+    ``r_s``.  (b), (c), (d), (h) and (k) run when ``delta_b`` is first read
+    and vouch for it, and (k) for ``p_gprime`` once more.  ``repr`` leaves
+    ``delta_b`` out.
     """
 
     __slots__ = ("removed", "p_g", "p_gprime", "r_s", "u_s", "delta_b")
@@ -86,21 +88,33 @@ class DeletionReport(Record):
 
 
 class _DeltaB(Mapping):
-    """Read-only mapping of G's survivors to Δb, filled on first read."""
+    """Read-only mapping of G's survivors to Δb, filled on first read.
 
-    __slots__ = ("_g", "_removed", "_table")
+    Filling it runs ``_deletion_layers``, the paper's Δb recursion, with
+    checks (b), (c), (d) and (h) of ``delete_decompose``, and then (k): the
+    recursion's weight of G' at every degree must be the one ``p_gprime``
+    reports from G''s own pass.
+    """
 
-    def __init__(self, g: Graph, removed: VertexSet) -> None:
-        self._g, self._removed, self._table = g, removed, None
+    __slots__ = ("_g", "_removed", "_p_gprime", "_table")
+
+    def __init__(self, g: Graph, removed: VertexSet, p_gprime: OrderingPolynomial) -> None:
+        self._g, self._removed, self._p_gprime, self._table = g, removed, p_gprime, None
 
     def _filled(self) -> dict[VertexSet, Fraction]:
         if self._table is None:
             nfact = math.factorial(self._g.n)
-            self._table = {
-                mask: Fraction(delta, nfact)
-                for *_, survivors in _deletion_layers(self._g, self._removed)
-                for mask, (_, delta) in survivors.items()
-            }
+            table, weights = {}, []
+            for acc, survivors in _deletion_layers(self._g, self._removed):
+                weights.append(acc)
+                table.update((mask, Fraction(delta, nfact)) for mask, (_, delta) in survivors.items())
+            # G''s weight at degree k, sum a_{G'} n! b_{G'}, is n' n!/n'! times F''s coefficient
+            sub_n = self._p_gprime.n
+            scale = sub_n * nfact // math.factorial(sub_n)
+            for k, (acc, coeff) in enumerate(zip_longest(weights, self._p_gprime.f_coeffs, fillvalue=0)):
+                if acc != scale * coeff:
+                    raise InternalCheckError(f"G' weight at degree {k} differs from the delta-b recursion's")
+            self._table = table
         return self._table
 
     def __getitem__(self, members: VertexSet) -> Fraction:
@@ -116,7 +130,7 @@ class _DeltaB(Mapping):
         return repr(self._filled())
 
     def __reduce__(self):
-        return type(self), (self._g, self._removed)
+        return type(self), (self._g, self._removed, self._p_gprime)
 
 
 def build_polynomial(g: Graph) -> OrderingPolynomial:
@@ -199,16 +213,33 @@ def eval_indicator(g: Graph, good_set: VertexSet) -> Fraction:
 def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     """Decompose P_G against G' = G - S, the graph with ``removed`` = S deleted.
 
-    One pass over G.  Its survivors, the sets I with I ∩ S = ∅, are the
-    independent sets of G', in G's labels and order, and G''s counts come
-    from the paper's triangular recursion on Δ_I = n! Δb_I,
-    |N_{G'}[I]| Δ_I = sum over v in I of Δ_{I\\v} + |N_G[I] ∩ S| B_G(I),
-    with Δ_∅ = 0, so that B_{G'}(I) = n! b_{G'}(I) = B_G(I) + Δ_I.
-    N_{G'}[I] is built as the pass builds N_G[I], from the parent's and the
-    top vertex's closed row in G', which is G's row with S masked off.  Only
-    two layers of (N_{G'}, Δ) stay resident.  Checks, each raising
-    InternalCheckError that names the layer or the set:
+    Two passes, one after the other, so only one pass's layers are ever
+    resident.  G's pass sums, per degree, a_G(I) B_G(I) with B = n! b over
+    the sets that meet S (U_S) and over the survivors, the sets I with
+    I ∩ S = ∅, and keeps the survivors' count and mask sum.  G' keeps G's n
+    vertices and labels with every edge at S dropped, and its pass runs over
+    V minus S, a universe no edge leaves: it yields the sets of G - S in G's
+    labels and order, with counts n! b_{G'}(I) in the units of G's.  A set's
+    closed neighbourhood there lies inside V minus S, so its layer weight,
+    less |S| times its sum of counts, is the sum of a_{G'}(I) B_{G'}(I),
+    which gives P_{G'} and, against the survivors' G-side sum, R_S.
+
+    Checks on every call, each raising InternalCheckError that names the
+    degree, the layer or the set:
       (a) G's pass runs its own checks (see ``iter_layers``);
+      (e) the identity P_G = P_{G'} - R_S + U_S at every degree, which with
+          R_S and U_S summed set by set reduces to G's layer weight W_k
+          against the sum of G's per-set terms a_G(I) B_G(I);
+      (f) G''s weight at every degree divides exactly by n!/n'!;
+      (g) ``_polynomial``'s checks on P_G and P_{G'};
+      (i) G''s pass runs its own checks, exactness and, on its sealed
+          universe, completeness;
+      (j) G''s layer k has as many sets as G has survivors of size k, with
+          the same mask sum, and G' has no layer more or fewer.
+    Checks when ``delta_b`` is first read, on the paper's triangular
+    recursion on Δ_I = n! Δb_I,
+    |N_{G'}[I]| Δ_I = sum over v in I of Δ_{I\\v} + |N_G[I] ∩ S| B_G(I),
+    with Δ_∅ = 0, run over G's survivors in ``_deletion_layers``:
       (b) every division of the Δ recursion is exact;
       (c) for every survivor I, a_{G'}(I) = n' - |N_{G'}[I]| equals
           a_G(I) - (|S| - |N_G[I] ∩ S|), two independently built
@@ -216,12 +247,9 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
       (d) G''s own recursion and completeness: for each layer k,
           the sum of |N_{G'}[J]| B_{G'}(J) over its layer k + 1 equals
           the sum of a_{G'}(I) B_{G'}(I) over its layer k;
-      (e) the identity P_G = P_{G'} - R_S + U_S at every degree, which with
-          R_S and U_S summed set by set reduces to G's layer weight W_k
-          against the sum of G's per-set terms a_G(I) B_G(I);
-      (f) G''s weight at every degree divides exactly by n!/n'!;
-      (g) ``_polynomial``'s checks on P_G and P_{G'};
-      (h) a survivor with a subset missing from the layer below.
+      (h) a survivor with a subset missing from the layer below;
+      (k) the recursion's weight of G' at every degree equals the one
+          G''s pass gave P_{G'}, so the two routes check each other.
     """
     full = g.full_mask
     if removed & ~full:
@@ -229,34 +257,61 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     if removed == full:
         raise ValueError("cannot remove every vertex; the remainder must be nonempty")
     n = g.n
-    sub_n = n - removed.bit_count()
+    removed_size = removed.bit_count()
+    sub_n = n - removed_size
     nfact = math.factorial(n)
     ratio = nfact // math.factorial(sub_n)
-    g_sums, sub_sums, r_s, u_s = [], [], [], []
-    for k, (total, meets, old_w, acc, survivors) in enumerate(_deletion_layers(g, removed)):
-        g_sums.append(total)
+    # per degree: G's layer weight, U_S, and the survivors' sum of a_G B_G,
+    # count and mask sum
+    g_sums, u_s, kept = [], [], []
+    for layer in iter_layers(g):
+        meets = old_w = count = mask_sum = 0
+        for mask, nbhd, num in zip(layer.sets, layer.nbhds, layer.counts):
+            term = (n - nbhd.bit_count()) * num
+            if mask & removed:
+                meets += term
+            else:
+                old_w += term
+                count += 1
+                mask_sum += mask
+        k = layer.k
+        require_internal(layer.weight == old_w + meets, f"deletion identity fails at degree {k}")
+        g_sums.append(layer.weight)
         u_s.append(Fraction(meets, n * nfact))
-        if survivors:
-            sub_sum, rem = divmod(acc, ratio)
-            require_internal(rem == 0, f"G' weight at degree {k} is not a multiple of n!/n'!")
-            sub_sums.append(sub_sum)
-            # R_S at degree k, in units of 1 / (n n' n!)
-            r_s.append(Fraction(n * acc - sub_n * old_w, n * sub_n * nfact))
+        if count:
+            kept.append((old_w, count, mask_sum))
+
+    remaining = full & ~removed
+    sub = Graph(n, tuple(row & remaining if remaining >> v & 1 else 0 for v, row in enumerate(g.adj)))
+    sub_sums, r_s = [], []
+    for layer in iter_layers(sub, remaining):
+        k = layer.k
+        old_w, count, mask_sum = kept[k] if k < len(kept) else (0, 0, 0)
+        if (len(layer), sum(layer.sets)) != (count, mask_sum):
+            raise InternalCheckError(f"G' layer {k} differs from G's survivors of size {k}")
+        acc = layer.weight - removed_size * sum(layer.counts)
+        sub_sum, rem = divmod(acc, ratio)
+        require_internal(rem == 0, f"G' weight at degree {k} is not a multiple of n!/n'!")
+        sub_sums.append(sub_sum)
+        # R_S at degree k, in units of 1 / (n n' n!)
+        r_s.append(Fraction(n * acc - sub_n * old_w, n * sub_n * nfact))
+    k = len(sub_sums)
+    require_internal(k == len(kept), f"G' layer {k} differs from G's survivors of size {k}")
+    p_gprime = _polynomial(sub_n, sub_sums)
     return DeletionReport(
         removed=removed,
         p_g=_polynomial(n, g_sums),
-        p_gprime=_polynomial(sub_n, sub_sums),
+        p_gprime=p_gprime,
         r_s=tuple(r_s),
         u_s=tuple(u_s),
-        delta_b=_DeltaB(g, removed),
+        delta_b=_DeltaB(g, removed, p_gprime),
     )
 
 
 def _deletion_layers(g: Graph, removed: VertexSet) -> Iterator[tuple]:
-    """Per layer k of G: its weight W_k, the sums of a_G(I) B_G(I) over the
-    sets meeting S and over the survivors, the survivors' a_{G'}(I) B_{G'}(I)
-    sum, and the survivors mapped to (N_{G'}[I], Δ_I); checks (b)-(e) and (h)
-    of ``delete_decompose`` run here."""
+    """Per layer k of G: the survivors' sum of a_{G'}(I) B_{G'}(I), and the
+    survivors mapped to (N_{G'}[I], Δ_I); checks (b), (c), (d) and (h) of
+    ``delete_decompose`` run here.  Two layers of survivors stay resident."""
     n = g.n
     removed_size = removed.bit_count()
     sub_n = n - removed_size
@@ -265,16 +320,12 @@ def _deletion_layers(g: Graph, removed: VertexSet) -> Iterator[tuple]:
     acc = 0
     for layer in iter_layers(g):
         k, prev, parent_acc, survivors = layer.k, survivors, acc, {}
-        # meets and old_w sum a_G B_G over the sets meeting S and over the
-        # survivors, acc and child sum a_{G'} B_{G'} and |N_{G'}| B_{G'}
-        meets = old_w = acc = child = 0
+        # acc and child sum a_{G'} B_{G'} and |N_{G'}| B_{G'} over the survivors
+        acc = child = 0
         try:
             for mask, nbhd, num_g in zip(layer.sets, layer.nbhds, layer.counts):
-                outside = n - nbhd.bit_count()
                 if mask & removed:
-                    meets += outside * num_g
                     continue
-                old_w += outside * num_g
                 if not mask:
                     survivors[0] = (0, 0)
                     acc += sub_n * num_g
@@ -286,7 +337,7 @@ def _deletion_layers(g: Graph, removed: VertexSet) -> Iterator[tuple]:
                 sub_nbhd |= sub_closed[top]
                 size = sub_nbhd.bit_count()
                 overlap = (nbhd & removed).bit_count()
-                if sub_n - size != outside - removed_size + overlap:
+                if sub_n - size != n - nbhd.bit_count() - removed_size + overlap:
                     raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
                 child_sum += overlap * num_g
                 while rest:
@@ -303,8 +354,7 @@ def _deletion_layers(g: Graph, removed: VertexSet) -> Iterator[tuple]:
         except KeyError:
             raise InternalCheckError(f"set {mask:#x} lacks a subset in layer {k - 1}") from None
         del prev  # before the next G layer is built: two layers of survivors resident
-        require_internal(layer.weight == old_w + meets, f"deletion identity fails at degree {k}")
         if child != parent_acc:
             raise InternalCheckError(f"G' child sums at layer {k} differ from layer {k - 1}'s weight")
-        yield layer.weight, meets, old_w, acc, survivors
+        yield acc, survivors
     require_internal(not acc, f"G' child sums at layer {k + 1} differ from layer {k}'s weight")

@@ -239,12 +239,17 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
         (1, lambda: eval_partial(g, mask_of([0]), mask_of([2, 3]))),
         (1, lambda: detect_fully_regular(g)),
         (1, lambda: cli.main(["eval", str(path), "--good", "0,2,3"])),
-        (1, lambda: delete_decompose(g, mask_of([4]))),
+        (2, lambda: delete_decompose(g, mask_of([4]))),
+        (2, lambda: cli.main(["delete", str(path), "--set", "4"])),
     ]
     for expected, feature in features:
         passes.clear()
         feature()
         assert len(passes) == expected
+    # the deletion's two passes: G, then G' over V minus S
+    passes.clear()
+    delete_decompose(g, mask_of([4]))
+    assert passes == [None, mask_of([0, 1, 2, 3])]
     # eval_partial's one pass leaves out T's open neighbourhood, here N({0}) = {1, 4}
     passes.clear()
     eval_partial(g, mask_of([0]), mask_of([1, 2, 3]))
@@ -267,9 +272,10 @@ def test_delete_decompose_builds_no_fraction_per_delta_b_entry(monkeypatch):
     assert len(built) <= 8 * layers
 
 
-def test_delete_decompose_heap_peak_is_within_twice_that_of_sigma():
-    # the deletion holds its pass's layers and two layers of (N_{G'}, Δ) per
-    # survivor; at n = 22 (5,643 independent sets) its peak is about 1.37x sigma's
+def test_delete_decompose_heap_peak_is_that_of_sigma():
+    # the deletion runs G's pass and then G''s, keeping only per-degree sums
+    # between them, so its peak is that of one pass over G: at n = 22 (5,643
+    # independent sets) about 1.0x sigma's
     g = random_connected_graph(22, 0.15, seed=2)
 
     def peak(run):
@@ -280,7 +286,7 @@ def test_delete_decompose_heap_peak_is_within_twice_that_of_sigma():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: delete_decompose(g, mask_of([0]))) <= 2 * peak(lambda: sigma(g))
+    assert peak(lambda: delete_decompose(g, mask_of([0]))) <= 1.1 * peak(lambda: sigma(g))
 
 
 @pytest.mark.parametrize(
@@ -289,23 +295,29 @@ def test_delete_decompose_heap_peak_is_within_twice_that_of_sigma():
     ids=["c6", "random12"],
 )
 def test_delete_decompose_runs_g_prime_in_g_labels(monkeypatch, g, removed):
-    # G' takes no pass of its own: its sets are G's survivors, in G's labels
-    # and G's order
-    passes = []
+    # G's pass ends before G''s starts, and G''s pass, over V minus S, yields
+    # G's survivors set for set, in G's labels and G's order
+    events, passes = [], []
 
     def logged(graph, universe=None):
         layers_ = []
         passes.append((graph, universe, layers_))
+        events.append(("start", universe))
         for layer in iter_layers(graph, universe):
             layers_.append(layer.sets)
             yield layer
+        events.append(("end", universe))
 
     monkeypatch.setattr(polynomial, "iter_layers", logged)
     report = delete_decompose(g, removed)
-    [(graph, universe, g_sets)] = passes
-    assert graph is g and universe is None
+    remaining = g.full_mask & ~removed
+    assert events == [("start", None), ("end", None), ("start", remaining), ("end", remaining)]
+    [(graph, _, g_sets), (sub, _, sub_sets)] = passes
+    assert graph is g and sub.n == g.n
+    survivors = [tuple(mask for mask in sets if not mask & removed) for sets in g_sets]
+    assert sub_sets == [sets for sets in survivors if sets]
     monkeypatch.setattr(polynomial, "iter_layers", iter_layers)
-    assert list(report.delta_b) == [mask for sets in g_sets for mask in sets if not mask & removed]
+    assert list(report.delta_b) == [mask for sets in sub_sets for mask in sets]
 
 
 def test_delete_decompose_reruns_its_pass_only_when_delta_b_is_read(monkeypatch):
@@ -318,6 +330,6 @@ def test_delete_decompose_reruns_its_pass_only_when_delta_b_is_read(monkeypatch)
     monkeypatch.setattr(polynomial, "iter_layers", counted)
     report = delete_decompose(cycle_graph(6), mask_of([0]))
     repr(report)
-    assert len(passes) == 1
+    assert passes == [None, mask_of([1, 2, 3, 4, 5])]
     assert report.delta_b[0] == 0 and len(report.delta_b) == 13 and list(report.delta_b.values())
-    assert len(passes) == 2
+    assert passes == [None, mask_of([1, 2, 3, 4, 5]), None]

@@ -99,6 +99,21 @@ class TestBruteEvent:
     def test_adjacent_bad_pair_impossible(self):
         assert brute_event(c5_chord(), mask_of([1, 3]), 0) == 0
 
+    @pytest.mark.parametrize(
+        "g",
+        [c5_chord(), complete_graph(4), star_graph(4), random_connected_graph(8, 0.3, seed=5)],
+        ids=["c5chord", "k4", "star4", "n8"],
+    )
+    def test_every_dependent_bad_set_is_impossible(self, g):
+        # the walk drops each prefix next to a required-bad vertex still to come
+        full = g.full_mask
+        for u, v in g.edges():
+            pair = mask_of([u, v])
+            for extra_bad in (0, full & ~pair & -(full & ~pair)):
+                bad_req = pair | extra_bad
+                for good_req in (0, full & ~bad_req):
+                    assert brute_event(g, bad_req, good_req) == 0, (u, v, extra_bad, good_req)
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             brute_event(path_graph(3), mask_of([0]), mask_of([0, 2]))

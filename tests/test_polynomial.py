@@ -26,6 +26,7 @@ from succorder import (
     induced_subgraph,
     iter_layers,
     iter_vertices,
+    layers,
     mask_of,
     polynomial,
     pr_good,
@@ -47,15 +48,16 @@ from conftest import (
 F = Fraction
 
 
-def edit_g_layer(monkeypatch, k, edit):
-    """Pass layer k of delete_decompose's one pass, over G, through ``edit``.
+def edit_g_layer(monkeypatch, k, edit, g_prime=False):
+    """Pass layer k of the deletion's passes over G through ``edit``, or of
+    its pass over G' when ``g_prime`` is set.
 
     ``edit`` gets the layer's (mask, nbhd, n! b) rows as a list and returns
     the rows to yield; the layer keeps the weight its pass summed.
     """
     def edited(g, universe=None):
         for layer in iter_layers(g, universe):
-            if layer.k == k:
+            if layer.k == k and (universe is not None) == g_prime:
                 rows = edit(list(zip(layer.sets, layer.nbhds, layer.counts)))
                 sets, nbhds, counts = (tuple(row[i] for row in rows) for i in range(3))
                 layer = Layer(k, sets, nbhds, counts, layer.weight)
@@ -64,14 +66,42 @@ def edit_g_layer(monkeypatch, k, edit):
     monkeypatch.setattr(polynomial, "iter_layers", edited)
 
 
-def deletion_mutant(monkeypatch, old, new):
-    """Make delete_decompose run a copy of its pass with ``old`` replaced by ``new``."""
-    source = inspect.getsource(polynomial._deletion_layers)
+def shift_g_prime_weight(monkeypatch, k, extra):
+    """Add ``extra`` to the weight of layer k of the deletion's pass over G'."""
+    def shifted(g, universe=None):
+        for layer in iter_layers(g, universe):
+            if layer.k == k and universe is not None:
+                layer = Layer(k, layer.sets, layer.nbhds, layer.counts, layer.weight + extra)
+            yield layer
+
+    monkeypatch.setattr(polynomial, "iter_layers", shifted)
+
+
+def deletion_mutant(monkeypatch, old, new, name="_deletion_layers"):
+    """Replace ``polynomial.<name>`` with a copy of it that has ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(polynomial, name))
     mutant = source.replace(old, new)
     assert mutant != source
     namespace = dict(vars(polynomial))
     exec(compile(mutant, polynomial.__file__, "exec"), namespace)
-    monkeypatch.setattr(polynomial, "_deletion_layers", namespace["_deletion_layers"])
+    monkeypatch.setattr(polynomial, name, namespace[name])
+
+
+def with_extra_g_layer(g, universe=None):
+    """G's pass with an extra layer 4 whose set {1, 2, 3, 4} has no subsets in layer 3."""
+    yield from iter_layers(g, universe)
+    if universe is None:
+        yield Layer(4, (0b11110,), (0b111111,), (1,), 0)
+
+
+def truncated_g_pass(g, universe=None):
+    """G's pass stopped after layer 2."""
+    return itertools.islice(iter_layers(g, universe), 3 if universe is None else None)
+
+
+def c6_minus_0():
+    """The deletion of vertex 0 from C6, which the check-firing tests corrupt."""
+    return delete_decompose(cycle_graph(6), mask_of([0]))
 
 
 def dropping(index):
@@ -287,18 +317,20 @@ class TestDeleteDecompose:
     def test_delta_b_check_fires_on_a_corrupt_b_value(self, monkeypatch):
         # a source mutant that drops the |N_G[I] ∩ S| B_G(I) term: every Δ is 0,
         # so G''s counts are G's, and G''s recursion fails at its first step
+        # when delta_b is read
         deletion_mutant(monkeypatch, "child_sum += overlap * num_g\n", "\n")
+        report = c6_minus_0()
         with pytest.raises(InternalCheckError, match="G' child sums at layer 1 differ from layer 0's weight"):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+            report.delta_b[0]
 
     # C6's layers, mask-ascending: its last 3-set is {1, 3, 5}, its last 2-set
     # {3, 5} and its first singleton {0}.  G's pass weight still counts the
     # dropped set and its per-set terms no longer do; {1, 3, 5} adds a_G = 0 to
-    # that weight, and G''s recursion misses it instead
+    # that weight, and G''s own pass finds it instead
     @pytest.mark.parametrize(
         "k, index, message",
         [
-            (3, -1, "G' child sums at layer 3 differ from layer 2's weight"),
+            (3, -1, "G' layer 3 differs from G's survivors of size 3"),
             (2, -1, "deletion identity fails at degree 2"),
             (1, 0, "deletion identity fails at degree 1"),
         ],
@@ -317,24 +349,33 @@ class TestDeleteDecompose:
         assert "internal check failed: deletion identity fails at degree 2" in capsys.readouterr().err
 
     def test_agreement_check_fires_on_a_leftover_layer(self, monkeypatch):
-        # an extra G layer whose set {1, 2, 3, 4} has no subsets in layer 3
-        def with_extra_layer(g, universe=None):
-            yield from iter_layers(g, universe)
-            yield Layer(4, (0b11110,), (0b111111,), (1,), 0)
-
-        monkeypatch.setattr(polynomial, "iter_layers", with_extra_layer)
+        # an extra G layer, once the deletion has run
+        report = c6_minus_0()
+        monkeypatch.setattr(polynomial, "iter_layers", with_extra_g_layer)
         with pytest.raises(InternalCheckError, match="set 0x1e lacks a subset in layer 3"):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+            report.delta_b[0]
 
     def test_recursion_check_fires_on_a_lost_top_layer(self, monkeypatch):
-        # G's pass stops after layer 2, so no layer counts the extension
-        # {1, 3, 5} of the survivor {1, 3}
-        def truncated(g, universe=None):
-            return itertools.islice(iter_layers(g, universe), 3)
-
-        monkeypatch.setattr(polynomial, "iter_layers", truncated)
+        # G's pass stops after layer 2 once the deletion has run, so no layer
+        # counts the extension {1, 3, 5} of the survivor {1, 3}
+        report = c6_minus_0()
+        monkeypatch.setattr(polynomial, "iter_layers", truncated_g_pass)
         with pytest.raises(InternalCheckError, match="G' child sums at layer 3 differ from layer 2's weight"):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+            report.delta_b[0]
+
+    # G' is the path 1-2-3-4-5: an extra G layer holds the survivor {1, 2, 3, 4},
+    # which G' lacks; a truncated G pass lacks G''s 3-set {1, 3, 5}; and a G'
+    # layer 2 with {1, 2} for {1, 3} has G's survivor count but not its mask sum
+    @pytest.mark.parametrize("edit, k", [("extra-g-layer", 4), ("truncated-g-pass", 3), ("g-prime-set-swapped", 2)],
+                             ids=["extra-g-layer", "truncated-g-pass", "g-prime-set-swapped"])
+    def test_layer_agreement_check_fires(self, monkeypatch, edit, k):
+        if edit == "g-prime-set-swapped":
+            swap = lambda rows: [(0b110, *row[1:]) if row[0] == 0b1010 else row for row in rows]  # noqa: E731
+            edit_g_layer(monkeypatch, 2, swap, g_prime=True)
+        else:
+            monkeypatch.setattr(polynomial, "iter_layers", with_extra_g_layer if k == 4 else truncated_g_pass)
+        with pytest.raises(InternalCheckError, match=f"^G' layer {k} differs from G's survivors of size {k}$"):
+            c6_minus_0()
 
     # C6's 2-sets that miss vertex 0, mask-ascending: {1, 3}, {1, 4}, {2, 4}, ...
     @pytest.mark.parametrize(
@@ -346,34 +387,39 @@ class TestDeleteDecompose:
         ids=["b", "neighbourhood"],
     )
     def test_per_set_checks_catch_a_corrupt_survivor_in_g(self, monkeypatch, target, edit, message):
-        # the check of that set fires before any per-layer sum is compared
+        # corrupted once the deletion has run: when delta_b is read, the check
+        # of that set fires before any per-layer sum is compared
         def corrupt(rows):
             return [edit(*row) if row[0] == target else row for row in rows]
 
+        report = c6_minus_0()
         edit_g_layer(monkeypatch, 2, corrupt)
         with pytest.raises(InternalCheckError, match=f"{message}.* for set {target:#x}$"):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+            report.delta_b[0]
 
     def test_identity_check_fires_on_a_survivor_term_counted_in_u_s(self, monkeypatch):
         # a source mutant that adds each survivor's G term to U_S's sum as well:
-        # every per-set check passes, and only the identity sees U_S + P_G' - R_S != P_G
-        line = "                old_w += outside * num_g\n"
-        deletion_mutant(monkeypatch, line, line + "                meets += outside * num_g\n")
+        # G''s pass and the layer agreement pass, and only the identity sees
+        # U_S + P_G' - R_S != P_G
+        line = "                old_w += term\n"
+        deletion_mutant(monkeypatch, line, line + "                meets += term\n", "delete_decompose")
         with pytest.raises(InternalCheckError, match="deletion identity fails at degree 0"):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+            polynomial.delete_decompose(cycle_graph(6), mask_of([0]))
 
     def test_outside_count_check_fires_on_a_wrong_subgraph(self, monkeypatch):
         # a source mutant that leaves S in G''s rows: N_{G'}[{1}] becomes {0, 1, 2}
         deletion_mutant(monkeypatch, " & ~removed for v", " for v")
+        report = c6_minus_0()
         with pytest.raises(InternalCheckError, match="outside-count mismatch after deletion for set 0x2"):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+            report.delta_b[0]
 
     def test_recursion_check_fires_on_a_survivor_term_left_out(self, monkeypatch):
         # a source mutant whose layer-2 sum of |N_{G'}[J]| B_{G'}(J) skips {1, 3}
         line = "                child += size * num\n"
         deletion_mutant(monkeypatch, line, line.replace("\n", " if mask != 0b1010 else 0\n"))
+        report = c6_minus_0()
         with pytest.raises(InternalCheckError, match="G' child sums at layer 2 differ from layer 1's weight"):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+            report.delta_b[0]
 
     # C6 minus vertex 0: n!/n'! = 6 and n' = 5
     @pytest.mark.parametrize("extra, message", [
@@ -381,15 +427,56 @@ class TestDeleteDecompose:
         (6, "F coefficient at degree 1 is not integral"),
     ], ids=["ratio", "polynomial"])
     def test_weight_checks_fire_on_a_g_prime_weight_off_by(self, monkeypatch, extra, message):
-        pass_ = polynomial._deletion_layers
-
-        def shifted(g, removed):
-            for k, (total, meets, old_w, acc, survivors) in enumerate(pass_(g, removed)):
-                yield total, meets, old_w, acc + extra * (k == 1), survivors
-
-        monkeypatch.setattr(polynomial, "_deletion_layers", shifted)
+        shift_g_prime_weight(monkeypatch, 1, extra)
         with pytest.raises(InternalCheckError, match=message):
-            delete_decompose(cycle_graph(6), mask_of([0]))
+            c6_minus_0()
+
+    def test_cross_check_fires_on_a_g_prime_weight_off_by_a_coefficient(self, monkeypatch):
+        # n' n!/n'! = 30 more weight at degree 1 passes every check of G''s
+        # pass and adds 1 to F''s coefficient there; only the recursion, run
+        # when delta_b is read, reaches a different weight
+        shift_g_prime_weight(monkeypatch, 1, 30)
+        report = c6_minus_0()
+        monkeypatch.setattr(polynomial, "iter_layers", iter_layers)
+        assert report.p_gprime.f_coeffs[1] == build_polynomial(path_graph(5)).f_coeffs[1] + 1
+        with pytest.raises(InternalCheckError, match="^G' weight at degree 1 differs from the delta-b recursion's$"):
+            report.delta_b[0]
+
+    @pytest.mark.parametrize("g_prime, k", [(False, 1), (True, 1), (True, 2)],
+                             ids=["g-layer-1", "g-prime-layer-1", "g-prime-layer-2"])
+    def test_each_pass_runs_its_own_checks(self, monkeypatch, g_prime, k):
+        # the first child of layer k, {0} in G and {1} or {1, 3} in G', dropped
+        # with its share of the layer's sums: the completeness check of that
+        # pass, over G or over the sealed V minus S, fires before any
+        # comparison between the two
+        children = layers._children
+
+        def dropping(sets, nbhds, counts, vertices, closed, n):
+            *columns, child_sums, total, weight = children(sets, nbhds, counts, vertices, closed, n)
+            if (0 not in vertices) != g_prime or sets[0].bit_count() + 1 != k:
+                return (*columns, child_sums, total, weight)
+            (_, *child_sets), (nbhd, *child_nbhds), (count, *child_counts) = columns
+            size = nbhd.bit_count()
+            return (tuple(child_sets), tuple(child_nbhds), tuple(child_counts),
+                    child_sums - size * count, total - count, weight - (n - size) * count)
+
+        monkeypatch.setattr(layers, "_children", dropping)
+        with pytest.raises(InternalCheckError, match=f"layer {k}: child sums differ from layer {k - 1}'s weight"):
+            c6_minus_0()
+
+    def test_cli_delete_runs_no_delta_b_recursion(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "c6.txt"
+        path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        argv = ["delete", str(path), "--set", "0,3", "--json"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refused(g, removed):
+            raise AssertionError("the CLI ran the delta-b recursion")
+
+        monkeypatch.setattr(polynomial, "_deletion_layers", refused)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_g_prime_matches_its_own_pass(self, connected_catalog):
         # independent routes to P_{G-S}: the relabelled induced subgraph, and a
