@@ -11,23 +11,24 @@ everything against an independent oracle.
 ``_EXPORTS`` under the submodule that defines it, and the module
 ``__getattr__`` (PEP 562) imports that submodule the first time the name is
 looked up.  So a program pays only for the modules it uses: the CLI's
-``count`` never compiles the polynomial or regularity code, and only the
-oracle's names (and ``verify``) load the oracle.
+``count`` never compiles the polynomial or regularity code, only the
+oracle's names (and ``verify``) load the oracle, and only the cross-check
+routes' names load ``crosscheck``.
 """
 
 __version__ = "0.1.0"
 
 #: Public names by the submodule that defines them.
 _EXPORTS = {
-    "counting": (
-        "PERMUTATION_SUM_MAX", "BTable", "SigmaResult", "b_permutation_sum", "compute_b_table",
-        "eval_partial", "pr_bad_via_mobius", "pr_good", "sigma", "weight",
+    "counting": ("SigmaResult", "eval_partial", "pr_good", "sigma"),
+    "crosscheck": (
+        "PERMUTATION_SUM_MAX", "BTable", "a_value", "b_permutation_sum", "closed_neighborhood",
+        "compute_b_table", "induced_subgraph", "is_independent", "pr_bad_via_mobius", "weight",
     ),
     "errors": ("InternalCheckError", "ParseError", "VerificationError"),
     "graph": (
-        "MAX_VERTICES", "Graph", "VertexSet", "a_value", "closed_neighborhood", "induced_subgraph",
-        "is_connected", "is_independent", "iter_vertices", "mask_of", "open_neighborhood",
-        "parse_edge_list", "vertices_of",
+        "MAX_VERTICES", "Graph", "VertexSet", "is_connected", "iter_vertices", "mask_of",
+        "open_neighborhood", "parse_edge_list", "vertices_of",
     ),
     "layers": ("Layer", "independence_number", "iter_layers"),
     "oracle": ("ORACLE_MAX_N", "bad_vertices", "brute_distribution", "brute_event", "brute_sigma"),

@@ -14,16 +14,21 @@ either side of the path, as ``--opt VALUE`` or ``--opt=VALUE``, and are
 spelled in full.  argparse is not used: importing it, with gettext and
 locale, and building its parser cost about 6 ms a process.
 
-This module imports only ``errors`` and ``graph`` at load time; each
-command handler imports the engine modules it calls when it runs.  So
-``count`` and ``eval`` load ``layers`` and ``counting`` and nothing else
-of the package, ``poly``, ``distribution`` and ``delete`` add
-``polynomial``, ``regular`` loads ``layers`` and ``regular``, ``bench``
-adds ``polynomial`` and ``randgraph``, and only ``verify`` imports the
-oracle.
+This module imports only ``errors`` and ``graph`` at load time.  Each
+command's handler lives beside the engine module it runs, and
+``_COMMANDS`` names it by module and function, so a process imports and
+compiles one handler, not eight, and ``-h`` imports none.  ``count`` and
+``eval`` run ``counting``'s handlers and load ``layers`` and ``counting``
+and nothing else of the package; ``poly``, ``distribution`` and
+``delete`` run ``polynomial``'s, ``regular`` runs ``regular``'s (with
+``layers``), ``bench`` runs ``randgraph``'s, which adds ``counting`` and
+``polynomial``, and only ``verify`` runs the oracle's.  ``count``,
+``eval`` and ``regular`` import neither ``fractions`` nor ``decimal``:
+their ratios are printed from the engine's integers by
+``counting._ratio_text``.  No command loads ``crosscheck``.
 
 The stderr ``elapsed: <x> ms`` line times only what follows argument
-parsing: reading the input, the handler's engine imports (about 6 ms for
+parsing: reading the input, the handler's engine imports (about 4 ms for
 ``count`` when no ``__pycache__`` exists), computing and printing.  It
 leaves out interpreter start-up and the imports made before parsing,
 which are most of the wall time of a run on a small graph.
@@ -40,8 +45,8 @@ import sys
 import time
 
 from . import __version__
-from .errors import InternalCheckError, ParseError, VerificationError, require_internal
-from .graph import Graph, _decimal, is_connected, mask_of, parse_edge_list, vertices_of
+from .errors import InternalCheckError, ParseError, VerificationError
+from .graph import Graph, _decimal, is_connected, parse_edge_list
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,168 +71,6 @@ def _density(text: str) -> float:
     return float(text)
 
 
-def _parse_vertex_list(g: Graph, text: str | None) -> int:
-    if not text:
-        return 0
-    vertices = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        v = _decimal(chunk)
-        if v >= g.n:
-            raise ValueError(f"vertex {v} out of range for a graph on {g.n} vertices")
-        vertices.append(v)
-    return mask_of(vertices)
-
-
-def _cmd_count(opts: dict, g: Graph) -> dict:
-    from .counting import sigma
-
-    result = sigma(g)
-    return {"sigma": str(result.sigma), "sigma_prime": str(result.sigma_prime)}
-
-
-def _cmd_poly(opts: dict, g: Graph) -> dict:
-    from .polynomial import bad_distribution, build_polynomial, eval_at_minus_one
-
-    poly = build_polynomial(g)
-    dist = bad_distribution(poly)
-    result = eval_at_minus_one(poly)
-    require_internal(result.sigma == dist.counts[0], "F(-1) differs from the zero-bad count")
-    return {
-        "p_coeffs": [str(c) for c in poly.p_coeffs],
-        "f_coeffs": [str(c) for c in poly.f_coeffs],
-        "A": [str(c) for c in dist.counts],
-        "sigma": str(result.sigma),
-    }
-
-
-def _cmd_eval(opts: dict, g: Graph) -> dict:
-    from .counting import eval_partial
-
-    good = _parse_vertex_list(g, opts["good"])
-    bad = _parse_vertex_list(g, opts["bad"])
-    return {
-        "good": vertices_of(good & ~bad),
-        "bad": vertices_of(bad),
-        "probability": str(eval_partial(g, bad, good)),
-    }
-
-
-def _cmd_delete(opts: dict, g: Graph) -> dict:
-    from .polynomial import delete_decompose
-
-    removed = _parse_vertex_list(g, opts["set"])
-    report = delete_decompose(g, removed)
-    return {
-        "set": vertices_of(removed),
-        "p_g": [str(c) for c in report.p_g.p_coeffs],
-        "p_gprime": [str(c) for c in report.p_gprime.p_coeffs],
-        "r_s": [str(c) for c in report.r_s],
-        "u_s": [str(c) for c in report.u_s],
-    }
-
-
-def _cmd_regular(opts: dict, g: Graph) -> dict:
-    from .regular import RegularityProfile, detect_fully_regular
-
-    verdict = detect_fully_regular(g)
-    if isinstance(verdict, RegularityProfile):
-        return {
-            "fully_regular": True,
-            "alpha": verdict.alpha,
-            "a": list(verdict.a_seq),
-        }
-    return {
-        "fully_regular": False,
-        "witness": {
-            "size": verdict.size,
-            "set_a": vertices_of(verdict.first_set),
-            "a_a": verdict.first_value,
-            "set_b": vertices_of(verdict.other_set),
-            "a_b": verdict.other_value,
-        },
-    }
-
-
-def _cmd_verify(opts: dict, g: Graph) -> dict:
-    import random
-
-    from .counting import eval_partial, pr_good, sigma
-    from .oracle import ORACLE_MAX_N, brute_distribution, brute_event, brute_sigma
-    from .polynomial import bad_distribution, build_polynomial
-
-    limit = ORACLE_MAX_N if opts["max_n"] is None else min(opts["max_n"], ORACLE_MAX_N)
-    if g.n > limit:
-        raise ValueError(f"verify is limited to n <= {limit}, got n = {g.n}")
-
-    engine_sigma = sigma(g).sigma
-    oracle_sigma = brute_sigma(g)
-    if engine_sigma != oracle_sigma:
-        raise VerificationError(f"sigma: engine {engine_sigma} != oracle {oracle_sigma}")
-
-    engine_dist = bad_distribution(build_polynomial(g)).counts
-    oracle_dist = brute_distribution(g).counts
-    if engine_dist != oracle_dist:
-        raise VerificationError(
-            f"distribution: engine {engine_dist} != oracle {oracle_dist}"
-        )
-
-    rng = random.Random(opts["seed"])
-    samples = 0
-    for _ in range(8):
-        universe = rng.getrandbits(g.n)
-        engine_p = pr_good(g, universe)
-        oracle_p = brute_event(g, 0, universe)
-        if engine_p != oracle_p:
-            raise VerificationError(
-                f"Pr(G_U) for U={vertices_of(universe)}: engine {engine_p} != oracle {oracle_p}"
-            )
-        samples += 1
-    for _ in range(8):
-        bad = rng.getrandbits(g.n)
-        good = rng.getrandbits(g.n) & ~bad
-        engine_p = eval_partial(g, bad, good)
-        oracle_p = brute_event(g, bad, good)
-        if engine_p != oracle_p:
-            raise VerificationError(
-                f"Pr(B_T ∩ G_S) for T={vertices_of(bad)}, S={vertices_of(good)}: "
-                f"engine {engine_p} != oracle {oracle_p}"
-            )
-        samples += 1
-
-    return {
-        "sigma": str(engine_sigma),
-        "checks": {"sigma": "ok", "distribution": "ok", "events": "ok"},
-        "events_sampled": samples,
-    }
-
-
-def _cmd_bench(opts: dict, g: Graph) -> dict:
-    from .counting import sigma
-    from .polynomial import bad_distribution, build_polynomial, eval_at_minus_one
-
-    start = time.perf_counter()
-    result = sigma(g)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    poly = build_polynomial(g)
-    dist = bad_distribution(poly)
-    require_internal(
-        eval_at_minus_one(poly).sigma == result.sigma == dist.counts[0],
-        "count, polynomial value and zero-bad count disagree",
-    )
-    return {
-        "n": opts["n"],
-        "density": opts["density"],
-        "seed": opts["seed"],
-        "sigma": str(result.sigma),
-        "sigma_prime": str(result.sigma_prime),
-        "elapsed_ms": round(elapsed_ms, 3),
-        "self_check": "ok",
-    }
-
-
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -248,30 +91,31 @@ _DESCRIPTION = "Exact counting of successive vertex orderings of simple graphs."
 _PATH_HELP = "edge-list file ('n m' header, then 'u v' lines)"
 _JSON = {"--json": (None, False, None, "emit one JSON document")}
 
-#: Command name -> (handler, whether it reads an edge-list path, help, options).
-#: Each option maps to (converter, default, metavar, help); a converter of
-#: None makes a flag that takes no value and defaults to False.  The table
-#: both parses argv and prints ``-h``.
+#: Command name -> (handler's module, handler, whether it reads an edge-list
+#: path, help, options).  A handler takes the parsed options and the graph
+#: and returns the payload.  Each option maps to (converter, default,
+#: metavar, help); a converter of None makes a flag that takes no value and
+#: defaults to False.  The table both parses argv and prints ``-h``.
 _COMMANDS = {
-    "count": (_cmd_count, True, "count the successive vertex orderings", _JSON),
-    "poly": (_cmd_poly, True, "ordering polynomial coefficients", _JSON),
-    "distribution": (_cmd_poly, True, "orderings by bad-vertex count", _JSON),
-    "eval": (_cmd_eval, True, "event probabilities over vertex sets", {
+    "count": ("counting", "_cmd_count", True, "count the successive vertex orderings", _JSON),
+    "poly": ("polynomial", "_cmd_poly", True, "ordering polynomial coefficients", _JSON),
+    "distribution": ("polynomial", "_cmd_poly", True, "orderings by bad-vertex count", _JSON),
+    "eval": ("counting", "_cmd_eval", True, "event probabilities over vertex sets", {
         **_JSON,
         "--good": (str, None, "LIST", "comma-separated vertices required good"),
         "--bad": (str, None, "LIST", "comma-separated vertices required bad"),
     }),
-    "delete": (_cmd_delete, True, "vertex-deletion decomposition", {
+    "delete": ("polynomial", "_cmd_delete", True, "vertex-deletion decomposition", {
         **_JSON,
         "--set": (str, None, "LIST", "comma-separated vertices to delete"),
     }),
-    "regular": (_cmd_regular, True, "fully-regular profile or witness", _JSON),
-    "verify": (_cmd_verify, True, "compare the engine against the exact oracle", {
+    "regular": ("regular", "_cmd_regular", True, "fully-regular profile or witness", _JSON),
+    "verify": ("oracle", "_cmd_verify", True, "compare the engine against the exact oracle", {
         **_JSON,
         "--max-n": (_decimal, None, "MAX_N", "size guard (default: the oracle's cap)"),
         "--seed": (_decimal, 0, "SEED", "seed for sampled events"),
     }),
-    "bench": (_cmd_bench, False, "time the engine on a random graph", {
+    "bench": ("randgraph", "_cmd_bench", False, "time the engine on a random graph", {
         **_JSON,
         "--n": (_decimal, 20, "N", "vertex count"),
         "--density": (_density, 0.2, "DENSITY", "extra-edge density"),
@@ -297,7 +141,7 @@ def _spelling(name: str, spec: tuple) -> str:
 def _usage(command: str | None) -> str:
     if command is None:
         return f"usage: succorder [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
-    _, takes_path, _, options = _COMMANDS[command]
+    _, _, takes_path, _, options = _COMMANDS[command]
     words = ["usage: succorder", command, "[-h]"]
     words += [f"[{_spelling(name, spec)}]" for name, spec in options.items()]
     return " ".join(words + ["path"] if takes_path else words)
@@ -308,11 +152,11 @@ def _help(command: str | None) -> str:
     if command is None:
         lines = [_usage(None), "", _DESCRIPTION]
         sections = [
-            ("commands", [(name, entry[2]) for name, entry in _COMMANDS.items()]),
+            ("commands", [(name, entry[3]) for name, entry in _COMMANDS.items()]),
             ("options", [help_row, ("--version", "show the version and exit")]),
         ]
     else:
-        _, takes_path, text, options = _COMMANDS[command]
+        _, _, takes_path, text, options = _COMMANDS[command]
         lines = [_usage(command), "", f"{text.capitalize()}."]
         sections = [
             ("positional arguments", [("path", _PATH_HELP)] if takes_path else []),
@@ -357,7 +201,7 @@ def _parse_args(argv: list[str]) -> dict:
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
         _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    _, takes_path, _, options = _COMMANDS[command]
+    _, _, takes_path, _, options = _COMMANDS[command]
     opts = {"command": command, "path": None}
     opts.update((_dest(name), spec[1]) for name, spec in options.items())
     positional_only = False
@@ -409,7 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         connected = is_connected(g)
         if not connected:
             print("warning: graph is disconnected; it has no successive ordering", file=sys.stderr)
-        payload = _COMMANDS[opts["command"]][0](opts, g)
+        module, handler = _COMMANDS[opts["command"]][:2]
+        # with a fromlist, __import__ returns the submodule itself
+        payload = getattr(__import__(f"{__package__}.{module}", fromlist=[handler]), handler)(opts, g)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,10 +9,20 @@ recursively defined rational correction factor.
 All arithmetic is exact.  The hot path works on B(I) = n! b(I), the number
 of orderings in which every vertex of I comes before all of its neighbours,
 so the recursion and the weights are pure big-integer work no wider than
-n! times n; public surfaces expose ordinary ``fractions.Fraction`` values.
-Because sigma(G) reaches n!-scale and the alternating sum cancels heavily,
-the final "n! * sigma' is an integer in [0, n!]" assertion doubles as a
-free correctness check.
+n! times n.  Because sigma(G) reaches n!-scale and the alternating sum
+cancels heavily, the final "n! * sigma' is an integer in [0, n!]" assertion
+doubles as a free correctness check.
+
+Each result has an integer core: the signed layer sum, a numerator over
+n * n!, whose [0, 1] and integrality checks run in integers.  ``sigma``,
+``pr_good`` and ``eval_partial`` wrap the cores into ``fractions.Fraction``
+values and import ``fractions`` only where they build one.  The CLI's
+``count`` and ``eval`` handlers live here and print the cores through
+``_ratio_text``, so those processes load neither ``fractions`` nor the
+``decimal`` module it imports.  The cross-check routes that lived here
+(``BTable``, ``compute_b_table``, ``weight``, ``b_permutation_sum``,
+``pr_bad_via_mobius``) are in ``crosscheck``; their names still resolve
+here, through the module ``__getattr__``.
 
 Every feature here runs on one pass of ``layers.iter_layers``, which
 carries, per layer, each set's closed neighbourhood N[I] and count B(I),
@@ -22,19 +32,34 @@ downstream, and only one previous layer stays resident.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator, Mapping
-from fractions import Fraction
 
-from .errors import require_internal
-from .graph import (
-    Graph, Record, VertexSet, a_value, is_independent, open_neighborhood, vertices_of,
-)
+from .errors import InternalCheckError
+from .graph import Graph, Record, VertexSet, _parse_vertex_list, open_neighborhood, vertices_of
 from .layers import iter_layers
 
-#: Cap on |I| for the factorial-cost permutation-sum cross-check.
-PERMUTATION_SUM_MAX = 8
+#: Cross-check routes that lived here; they resolve from ``crosscheck`` (see ``__getattr__``).
+_CROSSCHECK = (
+    "PERMUTATION_SUM_MAX", "BTable", "b_permutation_sum", "compute_b_table", "pr_bad_via_mobius",
+    "weight",
+)
+
+
+def __getattr__(name: str):
+    # PEP 562: the cross-check routes load only when a cross-check asks for them
+    if name not in _CROSSCHECK:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import crosscheck
+
+    return getattr(crosscheck, name)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, without importing fractions:
+    ``"p/q"`` in lowest terms, or ``"p"`` when q is 1."""
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _layer_weights(
@@ -64,105 +89,32 @@ class SigmaResult(Record):
     sigma_prime: Fraction
 
 
-class BTable:
-    """b-values of every independent set, grouped by cardinality.
-
-    ``table[mask]`` is the exact Fraction b(mask); lookup of a set that is
-    not independent (or lies outside the table's universe) raises KeyError.
-    Immutable once built.
-    """
-
-    def __init__(self, layers: tuple[dict[VertexSet, Fraction], ...]):
-        self._layers = layers
-
-    @property
-    def layers(self) -> tuple[Mapping[VertexSet, Fraction], ...]:
-        return self._layers
-
-    def __getitem__(self, members: VertexSet) -> Fraction:
-        return self._layers[members.bit_count()][members]
-
-    def __contains__(self, members: VertexSet) -> bool:
-        k = members.bit_count()
-        return k < len(self._layers) and members in self._layers[k]
-
-    def __len__(self) -> int:
-        return sum(len(layer) for layer in self._layers)
-
-    def items(self) -> Iterator[tuple[VertexSet, Fraction]]:
-        for layer in self._layers:
-            yield from layer.items()
-
-
-def compute_b_table(g: Graph, universe: VertexSet | None = None) -> BTable:
-    """Materialize b(I) for every independent I (optionally within a universe).
-
-    b(empty) = 1 and for nonempty I,
-    b(I) = (1 / |N[I]|) * sum over v in I of b(I minus v).
-    """
-    nfact = math.factorial(g.n)
-    return BTable(tuple(
-        {mask: Fraction(count, nfact) for mask, count in zip(layer.sets, layer.counts)}
-        for layer in iter_layers(g, universe)
-    ))
-
-
-def b_permutation_sum(g: Graph, members: VertexSet) -> Fraction:
-    """b(I) evaluated as its explicit sum over orderings of I.
-
-    For each ordering rho of I, the term is the product over suffixes
-    {rho_j, ..., rho_k} of 1 / |N[suffix]|.  Cost is |I|!, so this is a
-    cross-check tool, guarded at |I| <= 8.
-    """
-    k = members.bit_count()
-    if k > PERMUTATION_SUM_MAX:
-        raise ValueError(f"permutation sum is limited to |I| <= {PERMUTATION_SUM_MAX}, got {k}")
-    if not is_independent(g, members):
-        raise ValueError("permutation sum requires an independent set")
-    n = g.n
-    suffix_size: dict[VertexSet, int] = {}
-    total = Fraction(0)
-    for rho in itertools.permutations(vertices_of(members)):
-        denom = 1
-        suffix = 0
-        for v in reversed(rho):
-            suffix |= 1 << v
-            m = suffix_size.get(suffix)
-            if m is None:
-                m = suffix_size[suffix] = n - a_value(g, suffix)
-            denom *= m
-        total += Fraction(1, denom)
-    return total
-
-
-def weight(g: Graph, members: VertexSet, table: BTable) -> Fraction:
-    """w(I) = a(I)/n * b(I): the probability that every vertex of I is bad.
-
-    A vertex is bad in an ordering when it is not first yet precedes all of
-    its neighbours.
-    """
-    try:
-        b = table[members]
-    except KeyError:
-        raise ValueError("weight is defined for independent sets only") from None
-    return Fraction(a_value(g, members), g.n) * b
-
-
-def _alternating_total(g: Graph, universe: VertexSet | None, required: VertexSet = 0) -> Fraction:
-    """Signed sum of w(I) over independent I in universe with required ⊆ I.
+def _signed_sum(g: Graph, universe: VertexSet | None, required: VertexSet = 0) -> int:
+    """Signed sum of w(I) over independent I in universe with required ⊆ I,
+    as a numerator over n * n!.
 
     The sign is (-1) to the power |I minus required|.  Accumulation runs
-    layer by layer, mask-ascending, entirely in integers scaled by n * n!.
-    The sum is a probability, so a value outside [0, 1] raises
-    InternalCheckError.
+    layer by layer, mask-ascending, entirely in integers.  The sum is a
+    probability, so a numerator outside [0, n * n!] raises InternalCheckError.
     """
     tsize = required.bit_count()
     numer = 0
     for k, acc in enumerate(_layer_weights(g, universe, required)):
         numer += -acc if (k - tsize) & 1 else acc
-    value = Fraction(numer, g.n * math.factorial(g.n))
-    require_internal(0 <= value <= 1, f"signed weight sum {value} outside [0, 1]")
-    return value
+    den = g.n * math.factorial(g.n)
+    if not 0 <= numer <= den:
+        raise InternalCheckError(f"signed weight sum {_ratio_text(numer, den)} outside [0, 1]")
+    return numer
+
+
+def _sigma_count(g: Graph) -> int:
+    """sigma(G) = n! * sigma'(G) in integers: the signed sum over every
+    independent set, divided by n, asserted exact."""
+    numer = _signed_sum(g, None)
+    count, rem = divmod(numer, g.n)
+    if rem:
+        raise InternalCheckError(f"n! * sigma' = {_ratio_text(numer, g.n)} is not an integer")
+    return count
 
 
 def sigma(g: Graph) -> SigmaResult:
@@ -172,10 +124,10 @@ def sigma(g: Graph) -> SigmaResult:
     sigma(G) = n! * sigma'(G); integrality and the [0, n!] range are
     asserted (a failure would mean an engine bug, not bad input).
     """
-    sigma_prime = _alternating_total(g, None)
-    scaled = sigma_prime * math.factorial(g.n)
-    require_internal(scaled.denominator == 1, f"n! * sigma' = {scaled} is not an integer")
-    return SigmaResult(g.n, scaled.numerator, sigma_prime)
+    from fractions import Fraction
+
+    count = _sigma_count(g)
+    return SigmaResult(g.n, count, Fraction(count, math.factorial(g.n)))
 
 
 def pr_good(g: Graph, universe: VertexSet) -> Fraction:
@@ -184,7 +136,19 @@ def pr_good(g: Graph, universe: VertexSet) -> Fraction:
     A vertex is good when it is first or some neighbour precedes it.  Equals
     the signed sum of w(I) over independent I contained in ``universe``.
     """
-    return _alternating_total(g, universe)
+    from fractions import Fraction
+
+    return Fraction(_signed_sum(g, universe), g.n * math.factorial(g.n))
+
+
+def _partial_sum(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> int:
+    """``eval_partial`` as a numerator over n * n!."""
+    if (bad_set | good_set) & ~g.full_mask:
+        raise ValueError("vertex set mentions vertices outside the graph")
+    outside = open_neighborhood(g, bad_set)
+    if bad_set & outside:
+        return 0
+    return _signed_sum(g, (bad_set | good_set) & ~outside, required=bad_set)
 
 
 def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
@@ -197,30 +161,23 @@ def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
     N(T), and b(I) does not depend on the universe, so the pass enumerates
     only (S∪T) minus N(T).
     """
-    if (bad_set | good_set) & ~g.full_mask:
-        raise ValueError("vertex set mentions vertices outside the graph")
-    outside = open_neighborhood(g, bad_set)
-    if bad_set & outside:
-        return Fraction(0)
-    return _alternating_total(g, (bad_set | good_set) & ~outside, required=bad_set)
+    from fractions import Fraction
+
+    return Fraction(_partial_sum(g, bad_set, good_set), g.n * math.factorial(g.n))
 
 
-def pr_bad_via_mobius(g: Graph, members: VertexSet) -> Fraction:
-    """Pr(every vertex of an independent set is bad), via the dual good events.
+def _cmd_count(opts: dict, g: Graph) -> dict:
+    """The CLI's ``count`` command (see ``cli._COMMANDS``)."""
+    count = _sigma_count(g)
+    return {"sigma": str(count), "sigma_prime": _ratio_text(count, math.factorial(g.n))}
 
-    Inverts pr_good over the subset lattice:
-    sum over T subset of I of (-1)^|T| * pr_good(T).  Must equal
-    weight(g, I, ...) exactly; keeping the two routes separate makes the
-    agreement a meaningful test.
-    """
-    if not is_independent(g, members):
-        raise ValueError("Moebius inversion requires an independent set")
-    total = Fraction(0)
-    sub = members
-    while True:
-        sign = -1 if sub.bit_count() & 1 else 1
-        total += sign * pr_good(g, sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & members
-    return total
+
+def _cmd_eval(opts: dict, g: Graph) -> dict:
+    """The CLI's ``eval`` command (see ``cli._COMMANDS``)."""
+    good = _parse_vertex_list(g, opts["good"])
+    bad = _parse_vertex_list(g, opts["bad"])
+    return {
+        "good": vertices_of(good & ~bad),
+        "bad": vertices_of(bad),
+        "probability": _ratio_text(_partial_sum(g, bad, good), g.n * math.factorial(g.n)),
+    }

@@ -150,6 +150,22 @@ def _decimal(field: str) -> int:
     return int(field)
 
 
+def _parse_vertex_list(g: Graph, text: str | None) -> VertexSet:
+    """The mask of a comma-separated vertex list from the command line; empty items are skipped."""
+    if not text:
+        return 0
+    vertices = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        v = _decimal(chunk)
+        if v >= g.n:
+            raise ValueError(f"vertex {v} out of range for a graph on {g.n} vertices")
+        vertices.append(v)
+    return mask_of(vertices)
+
+
 #: How many characters ``_lines`` splits at a time, at least.
 _BLOCK = 4096
 #: Where ``_lines`` may end a block: after a line feed, or after a carriage
@@ -233,19 +249,6 @@ def open_neighborhood(g: Graph, members: VertexSet) -> VertexSet:
     return nb
 
 
-def closed_neighborhood(g: Graph, members: VertexSet) -> VertexSet:
-    return members | open_neighborhood(g, members)
-
-
-def a_value(g: Graph, members: VertexSet) -> int:
-    """Number of vertices outside the closed neighbourhood of the set."""
-    return g.n - closed_neighborhood(g, members).bit_count()
-
-
-def is_independent(g: Graph, members: VertexSet) -> bool:
-    return not members & open_neighborhood(g, members)
-
-
 def is_connected(g: Graph) -> bool:
     """Single connected component, by bitmask BFS from vertex 0."""
     visited = 1
@@ -259,22 +262,14 @@ def is_connected(g: Graph) -> bool:
     return visited == g.full_mask
 
 
-def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``keep``, relabelled to 0..k-1.
+#: Per-set helpers that only the cross-check routes and the tests use.
+_CROSSCHECK = ("a_value", "closed_neighborhood", "induced_subgraph", "is_independent")
 
-    Returns the subgraph together with ``old`` where ``old[i]`` is the
-    original label of the subgraph's vertex ``i`` (increasing order).
-    """
-    if keep & ~g.full_mask:
-        raise ValueError("keep mask mentions vertices outside the graph")
-    if not keep:
-        raise ValueError("induced subgraph needs at least one vertex")
-    old = tuple(iter_vertices(keep))
-    new_index = {v: i for i, v in enumerate(old)}
-    adj = []
-    for v in old:
-        row = 0
-        for u in iter_vertices(g.adj[v] & keep):
-            row |= 1 << new_index[u]
-        adj.append(row)
-    return Graph(len(old), tuple(adj)), old
+
+def __getattr__(name: str):
+    # PEP 562: the helpers live in ``crosscheck``, which no command loads
+    if name not in _CROSSCHECK:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import crosscheck
+
+    return getattr(crosscheck, name)

@@ -6,6 +6,7 @@ the combinatorics: F(-1) = sigma(G), and rewriting F in powers of (x + 1)
 yields the full distribution of orderings by number of bad vertices.  The
 module also evaluates the multivariate refinement (one variable per
 vertex) at indicator points, and decomposes P_G under vertex deletion.
+The CLI handlers of ``poly``, ``distribution`` and ``delete`` live here.
 
 The multivariate polynomial is never materialized monomial by monomial;
 every evaluation of it that matters here reduces to a filtered signed sum
@@ -19,15 +20,10 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import zip_longest
 
-from .counting import (  # eval_partial is re-exported: perfbench traces polynomial.eval_partial
-    SigmaResult,
-    _layer_weights,
-    compute_b_table,
-    eval_partial,
-    weight,
-)
+# eval_partial is re-exported: perfbench traces polynomial.eval_partial
+from .counting import SigmaResult, _layer_weights, eval_partial
 from .errors import InternalCheckError, require_internal
-from .graph import Graph, Record, VertexSet
+from .graph import Graph, Record, VertexSet, _parse_vertex_list, vertices_of
 from .layers import iter_layers
 
 
@@ -197,6 +193,8 @@ def eval_indicator(g: Graph, good_set: VertexSet) -> Fraction:
     filtering the full-graph b-table, deliberately a different route from
     ``pr_good``'s restricted enumeration.
     """
+    from .crosscheck import compute_b_table, weight
+
     if good_set & ~g.full_mask:
         raise ValueError("vertex set mentions vertices outside the graph")
     table = compute_b_table(g)
@@ -358,3 +356,30 @@ def _deletion_layers(g: Graph, removed: VertexSet) -> Iterator[tuple]:
             raise InternalCheckError(f"G' child sums at layer {k} differ from layer {k - 1}'s weight")
         yield acc, survivors
     require_internal(not acc, f"G' child sums at layer {k + 1} differ from layer {k}'s weight")
+
+
+def _cmd_poly(opts: dict, g: Graph) -> dict:
+    """The CLI's ``poly`` and ``distribution`` commands (see ``cli._COMMANDS``)."""
+    poly = build_polynomial(g)
+    dist = bad_distribution(poly)
+    result = eval_at_minus_one(poly)
+    require_internal(result.sigma == dist.counts[0], "F(-1) differs from the zero-bad count")
+    return {
+        "p_coeffs": [str(c) for c in poly.p_coeffs],
+        "f_coeffs": [str(c) for c in poly.f_coeffs],
+        "A": [str(c) for c in dist.counts],
+        "sigma": str(result.sigma),
+    }
+
+
+def _cmd_delete(opts: dict, g: Graph) -> dict:
+    """The CLI's ``delete`` command (see ``cli._COMMANDS``)."""
+    removed = _parse_vertex_list(g, opts["set"])
+    report = delete_decompose(g, removed)
+    return {
+        "set": vertices_of(removed),
+        "p_g": [str(c) for c in report.p_g.p_coeffs],
+        "p_gprime": [str(c) for c in report.p_gprime.p_coeffs],
+        "r_s": [str(c) for c in report.r_s],
+        "u_s": [str(c) for c in report.u_s],
+    }

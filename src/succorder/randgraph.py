@@ -3,14 +3,18 @@
 Construction: a spanning tree drawn uniformly at random over all labelled
 trees (random Pruefer sequence), then an independent coin flip at the given
 density for every non-tree vertex pair.  The same seed always produces the
-same graph.
+same graph.  The CLI's ``bench`` handler, which times the engine on such a
+graph, lives here.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
+import time
 
+from .errors import require_internal
 from .graph import Graph
 
 
@@ -48,3 +52,28 @@ def random_connected_graph(n: int, density: float, seed: int) -> Graph:
             if not (adj[u] >> v) & 1 and rng.random() < density:
                 add_edge(u, v)
     return Graph(n, tuple(adj))
+
+
+def _cmd_bench(opts: dict, g: Graph) -> dict:
+    """The CLI's ``bench`` command (see ``cli._COMMANDS``)."""
+    from .counting import _ratio_text, _sigma_count
+    from .polynomial import bad_distribution, build_polynomial, eval_at_minus_one
+
+    start = time.perf_counter()
+    count = _sigma_count(g)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    poly = build_polynomial(g)
+    dist = bad_distribution(poly)
+    require_internal(
+        eval_at_minus_one(poly).sigma == count == dist.counts[0],
+        "count, polynomial value and zero-bad count disagree",
+    )
+    return {
+        "n": opts["n"],
+        "density": opts["density"],
+        "seed": opts["seed"],
+        "sigma": str(count),
+        "sigma_prime": _ratio_text(count, math.factorial(g.n)),
+        "elapsed_ms": round(elapsed_ms, 3),
+        "self_check": "ok",
+    }

@@ -4,16 +4,17 @@ A graph is fully regular when a(I), the number of vertices outside the
 closed neighbourhood of an independent set I, depends only on |I|.  For
 such graphs the layer sizes and the successive-ordering count collapse to
 closed forms in the constants a_0..a_alpha, which this module evaluates
-and cross-validates against the general engine.
+and cross-validates against the general engine.  The CLI's ``regular``
+handler lives here; it never builds a Fraction, and only
+``sigma_closed_form`` imports ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import require_internal
-from .graph import Graph, Record, VertexSet
+from .graph import Graph, Record, VertexSet, vertices_of
 from .layers import iter_layers
 
 
@@ -76,6 +77,8 @@ def sigma_closed_form(profile: RegularityProfile) -> int:
     Defined for fully regular profiles; a_0 - a_j > 0 for j >= 1 because
     a_j < n.  The result is asserted integral.
     """
+    from fractions import Fraction
+
     a = profile.a_seq
     total = Fraction(0)
     term = Fraction(1)
@@ -86,3 +89,24 @@ def sigma_closed_form(profile: RegularityProfile) -> int:
     scaled = math.factorial(a[0]) * total
     require_internal(scaled.denominator == 1, f"closed form {scaled} is not an integer")
     return scaled.numerator
+
+
+def _cmd_regular(opts: dict, g: Graph) -> dict:
+    """The CLI's ``regular`` command (see ``cli._COMMANDS``)."""
+    verdict = detect_fully_regular(g)
+    if isinstance(verdict, RegularityProfile):
+        return {
+            "fully_regular": True,
+            "alpha": verdict.alpha,
+            "a": list(verdict.a_seq),
+        }
+    return {
+        "fully_regular": False,
+        "witness": {
+            "size": verdict.size,
+            "set_a": vertices_of(verdict.first_set),
+            "a_a": verdict.first_value,
+            "set_b": vertices_of(verdict.other_set),
+            "a_b": verdict.other_value,
+        },
+    }

@@ -1,8 +1,13 @@
+import importlib
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from succorder import cli, counting, eval_partial
 from succorder.errors import InternalCheckError, VerificationError
@@ -258,8 +263,10 @@ def imports_after_main(argv):
 
 
 class TestImportPath:
-    """Only verify loads the oracle, count and eval load no polynomial, and no
-    command loads numpy or an argument parser."""
+    """Only verify loads the oracle, count and eval load no polynomial, no
+    cross-check module and no other command's handler, count, eval and
+    regular load no fractions, and no command loads numpy or an argument
+    parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -310,6 +317,39 @@ class TestImportPath:
         "argv",
         [
             ["count", "{path}"],
+            ["eval", "{path}", "--good", "1,2", "--bad", "0"],
+            ["regular", "{path}"],
+        ],
+    )
+    def test_integer_commands_load_no_fractions(self, argv, c5chord_file):
+        # their ratios are printed from the engine's integers
+        proc = module_run("-m", "succorder", *[arg.format(path=c5chord_file) for arg in argv])
+        loaded = {name for _, name in importtime_tree(proc.stderr)}
+        assert "succorder.cli" in loaded
+        assert not loaded & {"fractions", "decimal", "_decimal", "_pydecimal"}
+
+    @pytest.mark.parametrize(
+        "argv", [["count", "{path}"], ["eval", "{path}", "--good", "1,2", "--bad", "0"]]
+    )
+    def test_count_and_eval_load_no_cross_check_and_no_other_handler(self, argv, c5chord_file):
+        proc = module_run("-m", "succorder", *[arg.format(path=c5chord_file) for arg in argv])
+        loaded = {name for _, name in importtime_tree(proc.stderr)}
+        own = cli._COMMANDS[argv[0]][0]
+        handler_modules = {entry[0] for entry in cli._COMMANDS.values()}
+        others = {f"succorder.{module}" for module in handler_modules - {own}}
+        assert f"succorder.{own}" in loaded
+        assert not loaded & (others | {"succorder.crosscheck"})
+
+    def test_every_handler_lives_in_its_engine_module(self):
+        # cli.py holds the parser and the table, not the handlers
+        assert not [name for name in vars(cli) if name.startswith("_cmd_")]
+        for command, (module, handler, *_) in cli._COMMANDS.items():
+            assert callable(getattr(importlib.import_module(f"succorder.{module}"), handler)), command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "{path}"],
             ["poly", "{path}"],
             ["distribution", "{path}"],
             ["eval", "{path}", "--good", "1,2", "--bad", "0"],
@@ -349,12 +389,44 @@ class TestDeterminism:
             assert first == second
 
 
+#: The largest denominator the CLI prints: n * n! at n = 64.
+_MAX_DENOMINATOR = 64 * math.factorial(64)
+
+
+@st.composite
+def ratio_pairs(draw):
+    """(num, den) with 0 <= num <= den <= 64 * 64!, often n! shaped and sharing factors."""
+    den = draw(st.one_of(
+        st.integers(1, _MAX_DENOMINATOR),
+        st.integers(1, 64).map(math.factorial),
+        st.integers(1, 64).map(lambda n: n * math.factorial(n)),
+    ))
+    step = draw(st.integers(1, min(den, 64)))
+    num = draw(st.one_of(st.sampled_from((0, den)), st.integers(0, den // step).map(step.__mul__)))
+    return num, den
+
+
+class TestRatioText:
+    """The CLI prints every ratio from two integers, without building a Fraction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ratio_pairs())
+    @example((0, 1))
+    @example((1, 1))
+    @example((0, _MAX_DENOMINATOR))
+    @example((_MAX_DENOMINATOR, _MAX_DENOMINATOR))
+    @example((math.factorial(64), _MAX_DENOMINATOR))
+    def test_matches_str_of_fraction(self, pair):
+        num, den = pair
+        assert counting._ratio_text(num, den) == str(Fraction(num, den))
+
+
 class TestExitCodeMapping:
     def test_internal_check_maps_to_2(self, monkeypatch, c5chord_file):
         def boom(_):
             raise InternalCheckError("fabricated")
 
-        monkeypatch.setattr(counting, "sigma", boom)
+        monkeypatch.setattr(counting, "_sigma_count", boom)
         assert cli.main(["count", c5chord_file]) == 2
 
     def test_probability_range_check_maps_to_2(self, monkeypatch, c5chord_file):
@@ -369,11 +441,33 @@ class TestExitCodeMapping:
             eval_partial(c5_chord(), 0, 0b01101)
         assert cli.main(["eval", c5chord_file, "--good", "0,2,3"]) == 2
 
+    @pytest.mark.parametrize(
+        "edit, call, argv, message",
+        [
+            (lambda sums: [3 * sums[0], *sums[1:]], counting.sigma, ["count"],
+             "signed weight sum 5/2 outside [0, 1]"),
+            (lambda sums: [sums[0] + 1, *sums[1:]], counting.sigma, ["count"],
+             "n! * sigma' = 301/5 is not an integer"),
+            (lambda sums: [3 * sums[0], *sums[1:]], lambda g: eval_partial(g, 0, 0b01101),
+             ["eval", "--good", "0,2,3"], "signed weight sum 161/60 outside [0, 1]"),
+        ],
+    )
+    def test_count_and_eval_checks_keep_their_messages(
+        self, monkeypatch, capsys, c5chord_file, edit, call, argv, message
+    ):
+        layer_weights = counting._layer_weights
+        monkeypatch.setattr(counting, "_layer_weights", lambda *args: edit(layer_weights(*args)))
+        with pytest.raises(InternalCheckError) as exc:
+            call(c5_chord())
+        assert str(exc.value) == message
+        assert cli.main([argv[0], c5chord_file, *argv[1:]]) == 2
+        assert f"internal check failed: {message}\n" in capsys.readouterr().err
+
     def test_verification_error_maps_to_3(self, monkeypatch, c5chord_file):
         def boom(_):
             raise VerificationError("fabricated")
 
-        monkeypatch.setattr(counting, "sigma", boom)
+        monkeypatch.setattr(counting, "_sigma_count", boom)
         assert cli.main(["count", c5chord_file]) == 3
 
     @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 """The package's public names, including the oracle's lazily imported ones."""
 
+import ast
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +67,41 @@ def test_names_and_submodules_resolve_on_first_lookup():
     assert succorder.graph.iter_vertices is succorder.iter_vertices
     assert succorder.polynomial.DeletionReport is succorder.DeletionReport
     assert {"Graph", "sigma", "brute_sigma"} <= set(dir(succorder))
+
+
+def _layer_functions():
+    """``LAYER_FUNCTIONS`` of ``perfbench/tracing.py``, read from its source, not imported."""
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py assigns no LAYER_FUNCTIONS")
+
+
+def test_the_traced_names_resolve():
+    # the benchmark's tracer wraps each succorder.<module>.<name> it lists, so
+    # moving a function must leave its old path resolving
+    names = _layer_functions()
+    assert names
+    for name in names:
+        module, attr = name.split(".")
+        assert callable(getattr(importlib.import_module(f"succorder.{module}"), attr)), name
+    for name in succorder.__all__:
+        assert getattr(succorder, name) is not None, name
+
+
+def test_cross_check_routes_keep_their_old_paths():
+    from succorder import counting, crosscheck, graph
+
+    for module, names in ((counting, counting._CROSSCHECK), (graph, graph._CROSSCHECK)):
+        for name in names:
+            assert getattr(module, name) is getattr(crosscheck, name) is getattr(succorder, name)
+    from succorder.counting import compute_b_table
+    from succorder.graph import induced_subgraph
+
+    assert compute_b_table is crosscheck.compute_b_table
+    assert induced_subgraph is crosscheck.induced_subgraph
+    with pytest.raises(AttributeError, match="no_such_name"):
+        counting.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graph.no_such_name  # noqa: B018

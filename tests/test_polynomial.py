@@ -479,9 +479,11 @@ class TestDeleteDecompose:
         assert capsys.readouterr().out == expected
 
     def test_g_prime_matches_its_own_pass(self, connected_catalog):
-        # independent routes to P_{G-S}: the relabelled induced subgraph, and a
-        # pass over V minus S on G with the edges at S dropped, whose a(I) counts
-        # the |S| isolated vertices as well
+        # routes to P_{G-S} that the deletion does not take: the relabelled
+        # induced subgraph's own pass; where n - |S| <= 9, the oracle's
+        # bad-vertex counts A_k of G - S, through f_j = sum_k C(k, j) A_k; and
+        # reading delta_b, which runs the delta-b recursion and its cross-check
+        # (k) against p_gprime
         rng = random.Random(11)
         pairs = []
         for i in range(400):
@@ -489,16 +491,20 @@ class TestDeleteDecompose:
             g = random_connected_graph(n, (0.15, 0.3, 0.5)[i % 3], seed=3000 + i)
             pairs.append((g, rng.randrange(1, g.full_mask)))
         pairs += [(g, 1 << i % g.n) for i, g in enumerate(connected_catalog) if g.n > 1]
+        oracle_pairs = 0
         for g, removed in pairs:
             report = delete_decompose(g, removed)
-            remaining = g.full_mask & ~removed
-            assert report.p_gprime == build_polynomial(induced_subgraph(g, remaining)[0])
-            sub = Graph(g.n, tuple(row & remaining if remaining >> v & 1 else 0 for v, row in enumerate(g.adj)))
-            sub_n = remaining.bit_count()
-            scale = sub_n * math.factorial(g.n) // math.factorial(sub_n)
-            weights = [layer.weight - (g.n - sub_n) * sum(layer.counts) for layer in iter_layers(sub, remaining)]
-            assert [c * scale for c in report.p_gprime.f_coeffs] == weights[:len(report.p_gprime.f_coeffs)]
-            assert not any(weights[len(report.p_gprime.f_coeffs):])
+            sub = induced_subgraph(g, g.full_mask & ~removed)[0]
+            assert report.p_gprime == build_polynomial(sub)
+            if sub.n <= 9:
+                counts = brute_distribution(sub).counts
+                f = [sum(math.comb(k, j) * a for k, a in enumerate(counts)) for j in range(sub.n + 1)]
+                while len(f) > 1 and f[-1] == 0:
+                    f.pop()
+                assert report.p_gprime.f_coeffs == tuple(f)
+                oracle_pairs += 1
+            assert len(report.delta_b) == sum(map(len, iter_layers(sub)))
+        assert oracle_pairs >= 300
 
     def test_random_pairs(self):
         for i in range(25):
