@@ -23,7 +23,8 @@ _EXPORTS = {
     "counting": ("SigmaResult", "eval_partial", "pr_good", "sigma"),
     "crosscheck": (
         "PERMUTATION_SUM_MAX", "BTable", "a_value", "b_permutation_sum", "closed_neighborhood",
-        "compute_b_table", "induced_subgraph", "is_independent", "pr_bad_via_mobius", "weight",
+        "compute_b_table", "delta_b", "induced_subgraph", "is_independent", "pr_bad_via_mobius",
+        "weight",
     ),
     "errors": ("InternalCheckError", "ParseError", "VerificationError"),
     "graph": (

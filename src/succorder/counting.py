@@ -20,9 +20,9 @@ values and import ``fractions`` only where they build one.  The CLI's
 ``count`` and ``eval`` handlers live here and print the cores through
 ``_ratio_text``, so those processes load neither ``fractions`` nor the
 ``decimal`` module it imports.  The cross-check routes that lived here
-(``BTable``, ``compute_b_table``, ``weight``, ``b_permutation_sum``,
-``pr_bad_via_mobius``) are in ``crosscheck``; their names still resolve
-here, through the module ``__getattr__``.
+are in ``crosscheck``; ``compute_b_table``, which the benchmark's tracer
+wraps under this module's name, still resolves here, through the module
+``__getattr__``.
 
 Every feature here runs on one pass of ``layers.iter_layers``, which
 carries, per layer, each set's closed neighbourhood N[I] and count B(I),
@@ -38,15 +38,13 @@ from .errors import InternalCheckError
 from .graph import Graph, Record, VertexSet, _parse_vertex_list, open_neighborhood, vertices_of
 from .layers import iter_layers
 
-#: Cross-check routes that lived here; they resolve from ``crosscheck`` (see ``__getattr__``).
-_CROSSCHECK = (
-    "PERMUTATION_SUM_MAX", "BTable", "b_permutation_sum", "compute_b_table", "pr_bad_via_mobius",
-    "weight",
-)
+#: Old paths of cross-check routes, kept because the benchmark's tracer wraps
+#: ``counting.compute_b_table``; they resolve from ``crosscheck``.
+_CROSSCHECK = ("compute_b_table",)
 
 
 def __getattr__(name: str):
-    # PEP 562: the cross-check routes load only when a cross-check asks for them
+    # PEP 562: the cross-check route loads only when a cross-check asks for it
     if name not in _CROSSCHECK:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import crosscheck

@@ -4,10 +4,11 @@ Nothing on a command's path runs these.  They recompute what the layer pass
 gives by other means, so that agreement between the two is a test: the
 b-table as exact Fractions, w(I) from it, b(I) as its sum over the
 orderings of I, Pr(every vertex of I bad) by Moebius inversion of
-``pr_good``, and the per-set graph helpers these routes and the tests use.
-Only a cross-check imports this module: ``counting`` and ``graph`` resolve
-their old names for these functions through a module ``__getattr__``
-(PEP 562), and ``polynomial.eval_indicator`` imports them when it runs.
+``pr_good``, Δb under deletion by the paper's triangular recursion, and the
+per-set graph helpers these routes and the tests use.  Only a cross-check
+imports this module: ``polynomial.eval_indicator`` imports it when it runs,
+and ``counting`` resolves its old name ``compute_b_table`` through a module
+``__getattr__`` (PEP 562).
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
 from .counting import pr_good
+from .errors import InternalCheckError, require_internal
 from .graph import Graph, VertexSet, iter_vertices, open_neighborhood, vertices_of
 from .layers import iter_layers
+from .polynomial import delete_decompose
 
 #: Cap on |I| for the factorial-cost permutation-sum cross-check.
 PERMUTATION_SUM_MAX = 8
@@ -162,3 +165,86 @@ def pr_bad_via_mobius(g: Graph, members: VertexSet) -> Fraction:
             break
         sub = (sub - 1) & members
     return total
+
+
+def delta_b(g: Graph, removed: VertexSet) -> dict[VertexSet, Fraction]:
+    """Δb_I = b_{G-S}(I) - b_G(I) for every independent set I of G - S.
+
+    S is ``removed``; the keys are the sets in G's labels, layer by layer and
+    mask-ascending.  Computed by the paper's triangular recursion on
+    Δ_I = n! Δb_I over G's survivors, the sets I with I ∩ S = ∅:
+    |N_{G'}[I]| Δ_I = sum over v in I of Δ_{I\\v} + |N_G[I] ∩ S| B_G(I),
+    with Δ_∅ = 0 and B = n! b, on one pass over G with two layers of
+    survivors resident.  P_{G-S} comes from ``delete_decompose``, whose
+    second pass runs over G - S itself, and the recursion must reach it.
+
+    Checks, each raising InternalCheckError that names the degree, the layer
+    or the set:
+      (b) every division of the Δ recursion is exact;
+      (c) for every survivor I, a_{G'}(I) = n' - |N_{G'}[I]| equals
+          a_G(I) - (|S| - |N_G[I] ∩ S|), two independently built
+          neighbourhoods against each other;
+      (d) G''s own recursion and completeness: for each layer k,
+          the sum of |N_{G'}[J]| B_{G'}(J) over its layer k + 1 equals
+          the sum of a_{G'}(I) B_{G'}(I) over its layer k;
+      (h) a survivor with a subset missing from the layer below;
+      (k) the recursion's weight of G' at every degree, the sum of
+          a_{G'}(I) B_{G'}(I), equals n' n!/n'! times the coefficient of F
+          that ``delete_decompose`` reports for P_{G'}.
+    """
+    p_gprime = delete_decompose(g, removed).p_gprime
+    n = g.n
+    nfact = math.factorial(n)
+    removed_size = removed.bit_count()
+    sub_n = n - removed_size
+    sub_closed = [(row | 1 << v) & ~removed for v, row in enumerate(g.adj)]
+    table: dict[VertexSet, Fraction] = {}
+    weights: list[int] = []
+    survivors: dict[VertexSet, tuple[VertexSet, int]] = {}
+    acc = 0
+    for layer in iter_layers(g):
+        k, prev, parent_acc, survivors = layer.k, survivors, acc, {}
+        # acc and child sum a_{G'} B_{G'} and |N_{G'}| B_{G'} over the survivors
+        acc = child = 0
+        try:
+            for mask, nbhd, num_g in zip(layer.sets, layer.nbhds, layer.counts):
+                if mask & removed:
+                    continue
+                if not mask:
+                    survivors[0] = (0, 0)
+                    acc += sub_n * num_g
+                    continue
+                # as in iter_layers, the sum starts from the generating parent's Δ
+                top = mask.bit_length() - 1
+                rest = mask ^ 1 << top
+                sub_nbhd, child_sum = prev[rest]
+                sub_nbhd |= sub_closed[top]
+                size = sub_nbhd.bit_count()
+                overlap = (nbhd & removed).bit_count()
+                if sub_n - size != n - nbhd.bit_count() - removed_size + overlap:
+                    raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
+                child_sum += overlap * num_g
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    child_sum += prev[mask ^ bit][1]
+                delta, rem = divmod(child_sum, size)
+                if rem:
+                    raise InternalCheckError(f"delta-b recursion fails for set {mask:#x}")
+                survivors[mask] = (sub_nbhd, delta)
+                num = num_g + delta
+                acc += (sub_n - size) * num
+                child += size * num
+        except KeyError:
+            raise InternalCheckError(f"set {mask:#x} lacks a subset in layer {k - 1}") from None
+        del prev  # before the next G layer is built: two layers of survivors resident
+        if child != parent_acc:
+            raise InternalCheckError(f"G' child sums at layer {k} differ from layer {k - 1}'s weight")
+        weights.append(acc)
+        table.update((mask, Fraction(delta, nfact)) for mask, (_, delta) in survivors.items())
+    require_internal(not acc, f"G' child sums at layer {k + 1} differ from layer {k}'s weight")
+    scale = sub_n * nfact // math.factorial(sub_n)
+    for k, (total, coeff) in enumerate(itertools.zip_longest(weights, p_gprime.f_coeffs, fillvalue=0)):
+        if total != scale * coeff:
+            raise InternalCheckError(f"G' weight at degree {k} differs from the delta-b recursion's")
+    return table

@@ -46,12 +46,10 @@ class Record:
 
     The constructor takes the fields positionally or by name.  Records
     compare and hash field-wise, and only with records of the same type, so
-    a record never equals a tuple; assignment raises AttributeError.  Fields
-    listed in ``_hidden`` are left out of ``repr``.
+    a record never equals a tuple; assignment raises AttributeError.
     """
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
@@ -73,8 +71,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        shown = [name for name in self.__slots__ if name not in self._hidden]
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -260,16 +257,3 @@ def is_connected(g: Graph) -> bool:
         frontier = reach & ~visited
         visited |= frontier
     return visited == g.full_mask
-
-
-#: Per-set helpers that only the cross-check routes and the tests use.
-_CROSSCHECK = ("a_value", "closed_neighborhood", "induced_subgraph", "is_independent")
-
-
-def __getattr__(name: str):
-    # PEP 562: the helpers live in ``crosscheck``, which no command loads
-    if name not in _CROSSCHECK:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import crosscheck
-
-    return getattr(crosscheck, name)

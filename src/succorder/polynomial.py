@@ -5,8 +5,10 @@ P_G(x) = sum w(I) x^|I|.  Its integer companion F(x) = n! * P_G(x) carries
 the combinatorics: F(-1) = sigma(G), and rewriting F in powers of (x + 1)
 yields the full distribution of orderings by number of bad vertices.  The
 module also evaluates the multivariate refinement (one variable per
-vertex) at indicator points, and decomposes P_G under vertex deletion.
-The CLI handlers of ``poly``, ``distribution`` and ``delete`` live here.
+vertex) at indicator points, and decomposes P_G under vertex deletion;
+the paper's Δb recursion for that deletion is a cross-check route, in
+``crosscheck.delta_b``.  The CLI handlers of ``poly``, ``distribution``
+and ``delete`` live here.
 
 The multivariate polynomial is never materialized monomial by monomial;
 every evaluation of it that matters here reduces to a filtered signed sum
@@ -16,9 +18,7 @@ over independent sets, and that is what is implemented.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from itertools import zip_longest
 
 # eval_partial is re-exported: perfbench traces polynomial.eval_partial
 from .counting import SigmaResult, _layer_weights, eval_partial
@@ -61,72 +61,18 @@ class DeletionReport(Record):
 
     The identity P_G(x) = P_{G-S}(x) - R_S(x) + U_S(x) holds coefficientwise:
     U_S collects the sets that meet S (weighted in G), R_S the reweighting of
-    the sets that survive.  ``delta_b`` maps every independent set of G-S (in
-    the original vertex labels) to Δb_I = b_{G-S}(I) - b_G(I), layer by layer
-    and mask-ascending, as a read-only mapping of exact Fractions.  The
-    deletion itself needs only per-degree sums and never computes Δb: the
-    mapping is filled when first read, by the paper's triangular recursion.
-    Of ``delete_decompose``'s checks, (a), (e) and (g) vouch for ``p_g`` on
-    every call; (f), (g), (i) and (j) for ``p_gprime``; (e) for ``u_s`` and
-    ``r_s``.  (b), (c), (d), (h) and (k) run when ``delta_b`` is first read
-    and vouch for it, and (k) for ``p_gprime`` once more.  ``repr`` leaves
-    ``delta_b`` out.
+    the sets that survive.  Of ``delete_decompose``'s checks, (a), (e) and
+    (g) vouch for ``p_g``; (f), (g), (i) and (j) for ``p_gprime``; (e) for
+    ``u_s`` and ``r_s``.  ``crosscheck.delta_b`` reaches ``p_gprime`` by
+    the paper's Δb recursion instead.
     """
 
-    __slots__ = ("removed", "p_g", "p_gprime", "r_s", "u_s", "delta_b")
-    _hidden = ("delta_b",)
+    __slots__ = ("removed", "p_g", "p_gprime", "r_s", "u_s")
     removed: VertexSet
     p_g: OrderingPolynomial
     p_gprime: OrderingPolynomial
     r_s: tuple[Fraction, ...]
     u_s: tuple[Fraction, ...]
-    delta_b: Mapping[VertexSet, Fraction]
-
-
-class _DeltaB(Mapping):
-    """Read-only mapping of G's survivors to Δb, filled on first read.
-
-    Filling it runs ``_deletion_layers``, the paper's Δb recursion, with
-    checks (b), (c), (d) and (h) of ``delete_decompose``, and then (k): the
-    recursion's weight of G' at every degree must be the one ``p_gprime``
-    reports from G''s own pass.
-    """
-
-    __slots__ = ("_g", "_removed", "_p_gprime", "_table")
-
-    def __init__(self, g: Graph, removed: VertexSet, p_gprime: OrderingPolynomial) -> None:
-        self._g, self._removed, self._p_gprime, self._table = g, removed, p_gprime, None
-
-    def _filled(self) -> dict[VertexSet, Fraction]:
-        if self._table is None:
-            nfact = math.factorial(self._g.n)
-            table, weights = {}, []
-            for acc, survivors in _deletion_layers(self._g, self._removed):
-                weights.append(acc)
-                table.update((mask, Fraction(delta, nfact)) for mask, (_, delta) in survivors.items())
-            # G''s weight at degree k, sum a_{G'} n! b_{G'}, is n' n!/n'! times F''s coefficient
-            sub_n = self._p_gprime.n
-            scale = sub_n * nfact // math.factorial(sub_n)
-            for k, (acc, coeff) in enumerate(zip_longest(weights, self._p_gprime.f_coeffs, fillvalue=0)):
-                if acc != scale * coeff:
-                    raise InternalCheckError(f"G' weight at degree {k} differs from the delta-b recursion's")
-            self._table = table
-        return self._table
-
-    def __getitem__(self, members: VertexSet) -> Fraction:
-        return self._filled()[members]
-
-    def __iter__(self) -> Iterator[VertexSet]:
-        return iter(self._filled())
-
-    def __len__(self) -> int:
-        return len(self._filled())
-
-    def __repr__(self) -> str:
-        return repr(self._filled())
-
-    def __reduce__(self):
-        return type(self), (self._g, self._removed, self._p_gprime)
 
 
 def build_polynomial(g: Graph) -> OrderingPolynomial:
@@ -234,20 +180,8 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
           universe, completeness;
       (j) G''s layer k has as many sets as G has survivors of size k, with
           the same mask sum, and G' has no layer more or fewer.
-    Checks when ``delta_b`` is first read, on the paper's triangular
-    recursion on Δ_I = n! Δb_I,
-    |N_{G'}[I]| Δ_I = sum over v in I of Δ_{I\\v} + |N_G[I] ∩ S| B_G(I),
-    with Δ_∅ = 0, run over G's survivors in ``_deletion_layers``:
-      (b) every division of the Δ recursion is exact;
-      (c) for every survivor I, a_{G'}(I) = n' - |N_{G'}[I]| equals
-          a_G(I) - (|S| - |N_G[I] ∩ S|), two independently built
-          neighbourhoods against each other;
-      (d) G''s own recursion and completeness: for each layer k,
-          the sum of |N_{G'}[J]| B_{G'}(J) over its layer k + 1 equals
-          the sum of a_{G'}(I) B_{G'}(I) over its layer k;
-      (h) a survivor with a subset missing from the layer below;
-      (k) the recursion's weight of G' at every degree equals the one
-          G''s pass gave P_{G'}, so the two routes check each other.
+    The paper's triangular recursion on Δb = b_{G-S} - b_G, and its checks
+    (b), (c), (d), (h) and (k), run in ``crosscheck.delta_b``.
     """
     full = g.full_mask
     if removed & ~full:
@@ -295,67 +229,13 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         r_s.append(Fraction(n * acc - sub_n * old_w, n * sub_n * nfact))
     k = len(sub_sums)
     require_internal(k == len(kept), f"G' layer {k} differs from G's survivors of size {k}")
-    p_gprime = _polynomial(sub_n, sub_sums)
     return DeletionReport(
         removed=removed,
         p_g=_polynomial(n, g_sums),
-        p_gprime=p_gprime,
+        p_gprime=_polynomial(sub_n, sub_sums),
         r_s=tuple(r_s),
         u_s=tuple(u_s),
-        delta_b=_DeltaB(g, removed, p_gprime),
     )
-
-
-def _deletion_layers(g: Graph, removed: VertexSet) -> Iterator[tuple]:
-    """Per layer k of G: the survivors' sum of a_{G'}(I) B_{G'}(I), and the
-    survivors mapped to (N_{G'}[I], Δ_I); checks (b), (c), (d) and (h) of
-    ``delete_decompose`` run here.  Two layers of survivors stay resident."""
-    n = g.n
-    removed_size = removed.bit_count()
-    sub_n = n - removed_size
-    sub_closed = [(row | 1 << v) & ~removed for v, row in enumerate(g.adj)]
-    survivors: dict[VertexSet, tuple[VertexSet, int]] = {}
-    acc = 0
-    for layer in iter_layers(g):
-        k, prev, parent_acc, survivors = layer.k, survivors, acc, {}
-        # acc and child sum a_{G'} B_{G'} and |N_{G'}| B_{G'} over the survivors
-        acc = child = 0
-        try:
-            for mask, nbhd, num_g in zip(layer.sets, layer.nbhds, layer.counts):
-                if mask & removed:
-                    continue
-                if not mask:
-                    survivors[0] = (0, 0)
-                    acc += sub_n * num_g
-                    continue
-                # as in iter_layers, the sum starts from the generating parent's Δ
-                top = mask.bit_length() - 1
-                rest = mask ^ 1 << top
-                sub_nbhd, child_sum = prev[rest]
-                sub_nbhd |= sub_closed[top]
-                size = sub_nbhd.bit_count()
-                overlap = (nbhd & removed).bit_count()
-                if sub_n - size != n - nbhd.bit_count() - removed_size + overlap:
-                    raise InternalCheckError(f"outside-count mismatch after deletion for set {mask:#x}")
-                child_sum += overlap * num_g
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    child_sum += prev[mask ^ bit][1]
-                delta, rem = divmod(child_sum, size)
-                if rem:
-                    raise InternalCheckError(f"delta-b recursion fails for set {mask:#x}")
-                survivors[mask] = (sub_nbhd, delta)
-                num = num_g + delta
-                acc += (sub_n - size) * num
-                child += size * num
-        except KeyError:
-            raise InternalCheckError(f"set {mask:#x} lacks a subset in layer {k - 1}") from None
-        del prev  # before the next G layer is built: two layers of survivors resident
-        if child != parent_acc:
-            raise InternalCheckError(f"G' child sums at layer {k} differ from layer {k - 1}'s weight")
-        yield acc, survivors
-    require_internal(not acc, f"G' child sums at layer {k + 1} differ from layer {k}'s weight")
 
 
 def _cmd_poly(opts: dict, g: Graph) -> dict:

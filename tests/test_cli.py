@@ -263,10 +263,10 @@ def imports_after_main(argv):
 
 
 class TestImportPath:
-    """Only verify loads the oracle, count and eval load no polynomial, no
-    cross-check module and no other command's handler, count, eval and
-    regular load no fractions, and no command loads numpy or an argument
-    parser."""
+    """Only verify loads the oracle, count and eval load no polynomial and
+    no other command's handler, count, eval and regular load no fractions,
+    and no command loads numpy, an argument parser or the cross-check
+    routes."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -360,11 +360,14 @@ class TestImportPath:
         ],
     )
     def test_no_command_loads_an_argument_parser(self, argv, c5chord_file):
+        # nor the cross-check routes, Δb's recursion among them
         proc = module_run("-m", "succorder", *[arg.format(path=c5chord_file) for arg in argv])
         rows = importtime_tree(proc.stderr)
         for module in ("argparse", "gettext", "locale"):
             chain = importers(rows, module) or []
             assert not [name for name in chain if name.startswith("succorder")], (module, chain)
+        loaded = {name for _, name in rows}
+        assert "succorder.cli" in loaded and "succorder.crosscheck" not in loaded
 
     @pytest.mark.parametrize("module", ["dataclasses", "inspect", "numpy"])
     def test_no_package_module_imports(self, module):

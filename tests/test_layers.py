@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from succorder import InternalCheckError, cli, layers, polynomial
+from succorder import InternalCheckError, cli, crosscheck, layers, polynomial
 from succorder import (
     build_polynomial,
     delete_decompose,
+    delta_b,
     detect_fully_regular,
     eval_partial,
     independence_number,
@@ -257,8 +258,8 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
 
 
 def test_delete_decompose_builds_no_fraction_per_delta_b_entry(monkeypatch):
-    # delta_b builds its Fractions when read, so the deletion builds only the
-    # per-degree ones (P_G, P_G', R_S and U_S), never one per set
+    # Δb is crosscheck.delta_b's, so the deletion builds only the per-degree
+    # Fractions (P_G, P_G', R_S and U_S), never one per set
     built = []
 
     def counted(*args):
@@ -316,11 +317,12 @@ def test_delete_decompose_runs_g_prime_in_g_labels(monkeypatch, g, removed):
     assert graph is g and sub.n == g.n
     survivors = [tuple(mask for mask in sets if not mask & removed) for sets in g_sets]
     assert sub_sets == [sets for sets in survivors if sets]
-    monkeypatch.setattr(polynomial, "iter_layers", iter_layers)
-    assert list(report.delta_b) == [mask for sets in sub_sets for mask in sets]
+    assert list(delta_b(g, removed)) == [mask for sets in sub_sets for mask in sets]
 
 
-def test_delete_decompose_reruns_its_pass_only_when_delta_b_is_read(monkeypatch):
+def test_delta_b_runs_the_deletion_then_one_pass_over_g(monkeypatch):
+    # the deletion's two passes run no Δb recursion; delta_b runs them, then
+    # its own pass over G
     passes = []
 
     def counted(g, universe=None):
@@ -328,8 +330,10 @@ def test_delete_decompose_reruns_its_pass_only_when_delta_b_is_read(monkeypatch)
         return iter_layers(g, universe)
 
     monkeypatch.setattr(polynomial, "iter_layers", counted)
-    report = delete_decompose(cycle_graph(6), mask_of([0]))
-    repr(report)
-    assert passes == [None, mask_of([1, 2, 3, 4, 5])]
-    assert report.delta_b[0] == 0 and len(report.delta_b) == 13 and list(report.delta_b.values())
-    assert passes == [None, mask_of([1, 2, 3, 4, 5]), None]
+    monkeypatch.setattr(crosscheck, "iter_layers", counted)
+    deletion = [None, mask_of([1, 2, 3, 4, 5])]
+    delete_decompose(cycle_graph(6), mask_of([0]))
+    assert passes == deletion
+    passes.clear()
+    assert len(delta_b(cycle_graph(6), mask_of([0]))) == 13
+    assert passes == [*deletion, None]

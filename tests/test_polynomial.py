@@ -1,7 +1,6 @@
 import inspect
 import itertools
 import math
-import pickle
 import random
 from fractions import Fraction
 
@@ -19,7 +18,9 @@ from succorder import (
     build_polynomial,
     cli,
     compute_b_table,
+    crosscheck,
     delete_decompose,
+    delta_b,
     eval_at_minus_one,
     eval_indicator,
     eval_partial,
@@ -48,9 +49,10 @@ from conftest import (
 F = Fraction
 
 
-def edit_g_layer(monkeypatch, k, edit, g_prime=False):
-    """Pass layer k of the deletion's passes over G through ``edit``, or of
-    its pass over G' when ``g_prime`` is set.
+def edit_g_layer(monkeypatch, k, edit, g_prime=False, module=polynomial):
+    """Pass layer k of ``module``'s pass over G through ``edit``, or of its
+    pass over G' when ``g_prime`` is set: the deletion's passes in
+    ``polynomial``, the Δb recursion's pass over G in ``crosscheck``.
 
     ``edit`` gets the layer's (mask, nbhd, n! b) rows as a list and returns
     the rows to yield; the layer keeps the weight its pass summed.
@@ -63,7 +65,7 @@ def edit_g_layer(monkeypatch, k, edit, g_prime=False):
                 layer = Layer(k, sets, nbhds, counts, layer.weight)
             yield layer
 
-    monkeypatch.setattr(polynomial, "iter_layers", edited)
+    monkeypatch.setattr(module, "iter_layers", edited)
 
 
 def shift_g_prime_weight(monkeypatch, k, extra):
@@ -77,14 +79,14 @@ def shift_g_prime_weight(monkeypatch, k, extra):
     monkeypatch.setattr(polynomial, "iter_layers", shifted)
 
 
-def deletion_mutant(monkeypatch, old, new, name="_deletion_layers"):
-    """Replace ``polynomial.<name>`` with a copy of it that has ``old`` replaced by ``new``."""
-    source = inspect.getsource(getattr(polynomial, name))
+def deletion_mutant(monkeypatch, module, name, old, new):
+    """Replace ``module.<name>`` with a copy of it that has ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(module, name))
     mutant = source.replace(old, new)
     assert mutant != source
-    namespace = dict(vars(polynomial))
-    exec(compile(mutant, polynomial.__file__, "exec"), namespace)
-    monkeypatch.setattr(polynomial, name, namespace[name])
+    namespace = dict(vars(module))
+    exec(compile(mutant, module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 def with_extra_g_layer(g, universe=None):
@@ -102,6 +104,11 @@ def truncated_g_pass(g, universe=None):
 def c6_minus_0():
     """The deletion of vertex 0 from C6, which the check-firing tests corrupt."""
     return delete_decompose(cycle_graph(6), mask_of([0]))
+
+
+def c6_minus_0_delta_b():
+    """Δb for that deletion, through ``crosscheck.delta_b`` as the tests leave it."""
+    return crosscheck.delta_b(cycle_graph(6), mask_of([0]))
 
 
 def dropping(index):
@@ -258,7 +265,7 @@ class TestDeleteDecompose:
         assert report.p_g == report.p_gprime
         assert all(c == 0 for c in report.r_s)
         assert all(c == 0 for c in report.u_s)
-        assert all(d == 0 for d in report.delta_b.values())
+        assert all(d == 0 for d in delta_b(g, 0).values())
 
     def test_c5_chord_drop_last_vertex(self):
         g = c5_chord()
@@ -272,8 +279,7 @@ class TestDeleteDecompose:
         )
 
     def test_delta_b_empty_set_is_zero(self):
-        report = delete_decompose(cycle_graph(6), mask_of([0, 3]))
-        assert report.delta_b[0] == 0
+        assert delta_b(cycle_graph(6), mask_of([0, 3]))[0] == 0
 
     def test_delta_b_is_the_difference_of_b_tables(self, connected_catalog):
         for i, g in enumerate(connected_catalog):
@@ -282,7 +288,6 @@ class TestDeleteDecompose:
             one = 1 << (i % g.n)
             two = one | 1 << ((i + 1 + i % (g.n - 1)) % g.n)
             for removed in (one, two) if g.n > 2 else (one,):
-                report = delete_decompose(g, removed)
                 b_g = compute_b_table(g)
                 old = list(iter_vertices(g.full_mask & ~removed))
                 sub = Graph.from_edges(
@@ -292,36 +297,22 @@ class TestDeleteDecompose:
                 for mask, b in compute_b_table(sub).items():
                     orig = mask_of(old[v] for v in iter_vertices(mask))
                     expected[orig] = b - b_g[orig]
-                assert report.delta_b == expected, (g, removed)
+                assert delta_b(g, removed) == expected, (g, removed)
 
-    def test_delta_b_is_a_read_only_mapping_of_fractions(self):
-        report = delete_decompose(cycle_graph(6), mask_of([0]))
-        delta_b = report.delta_b
+    def test_delta_b_is_a_dict_of_fractions_layer_by_layer(self):
+        table = delta_b(cycle_graph(6), mask_of([0]))
         # C6 minus vertex 0 is the path 1-2-3-4-5; keys come layer by layer, mask-ascending
-        assert list(delta_b) == [0, 0b10, 0b100, 0b1000, 0b10000, 0b100000,
-                                 0b1010, 0b10010, 0b10100, 0b100010, 0b100100, 0b101000, 0b101010]
-        items = list(delta_b.items())
-        assert all(type(value) is Fraction for _, value in items)
-        assert delta_b == dict(items) and dict(items) == delta_b
-        assert delta_b != {**dict(items), 0: F(1)}
-        assert 0b1010 in delta_b and 0b11 not in delta_b and len(delta_b) == 13
-        with pytest.raises(KeyError):
-            delta_b[0b11]
-        with pytest.raises(TypeError):
-            delta_b[0b11] = F(0)
-        with pytest.raises(TypeError):
-            hash(delta_b)
-        copy = pickle.loads(pickle.dumps(report))
-        assert copy == report and list(copy.delta_b.items()) == items
+        assert type(table) is dict
+        assert list(table) == [0, 0b10, 0b100, 0b1000, 0b10000, 0b100000,
+                               0b1010, 0b10010, 0b10100, 0b100010, 0b100100, 0b101000, 0b101010]
+        assert all(type(value) is Fraction for value in table.values())
 
     def test_delta_b_check_fires_on_a_corrupt_b_value(self, monkeypatch):
         # a source mutant that drops the |N_G[I] ∩ S| B_G(I) term: every Δ is 0,
         # so G''s counts are G's, and G''s recursion fails at its first step
-        # when delta_b is read
-        deletion_mutant(monkeypatch, "child_sum += overlap * num_g\n", "\n")
-        report = c6_minus_0()
+        deletion_mutant(monkeypatch, crosscheck, "delta_b", "child_sum += overlap * num_g\n", "\n")
         with pytest.raises(InternalCheckError, match="G' child sums at layer 1 differ from layer 0's weight"):
-            report.delta_b[0]
+            c6_minus_0_delta_b()
 
     # C6's layers, mask-ascending: its last 3-set is {1, 3, 5}, its last 2-set
     # {3, 5} and its first singleton {0}.  G's pass weight still counts the
@@ -349,19 +340,17 @@ class TestDeleteDecompose:
         assert "internal check failed: deletion identity fails at degree 2" in capsys.readouterr().err
 
     def test_agreement_check_fires_on_a_leftover_layer(self, monkeypatch):
-        # an extra G layer, once the deletion has run
-        report = c6_minus_0()
-        monkeypatch.setattr(polynomial, "iter_layers", with_extra_g_layer)
+        # an extra layer in the recursion's pass over G; the deletion's are whole
+        monkeypatch.setattr(crosscheck, "iter_layers", with_extra_g_layer)
         with pytest.raises(InternalCheckError, match="set 0x1e lacks a subset in layer 3"):
-            report.delta_b[0]
+            c6_minus_0_delta_b()
 
     def test_recursion_check_fires_on_a_lost_top_layer(self, monkeypatch):
-        # G's pass stops after layer 2 once the deletion has run, so no layer
-        # counts the extension {1, 3, 5} of the survivor {1, 3}
-        report = c6_minus_0()
-        monkeypatch.setattr(polynomial, "iter_layers", truncated_g_pass)
+        # the recursion's pass over G stops after layer 2, so no layer counts
+        # the extension {1, 3, 5} of the survivor {1, 3}
+        monkeypatch.setattr(crosscheck, "iter_layers", truncated_g_pass)
         with pytest.raises(InternalCheckError, match="G' child sums at layer 3 differ from layer 2's weight"):
-            report.delta_b[0]
+            c6_minus_0_delta_b()
 
     # G' is the path 1-2-3-4-5: an extra G layer holds the survivor {1, 2, 3, 4},
     # which G' lacks; a truncated G pass lacks G''s 3-set {1, 3, 5}; and a G'
@@ -387,39 +376,37 @@ class TestDeleteDecompose:
         ids=["b", "neighbourhood"],
     )
     def test_per_set_checks_catch_a_corrupt_survivor_in_g(self, monkeypatch, target, edit, message):
-        # corrupted once the deletion has run: when delta_b is read, the check
-        # of that set fires before any per-layer sum is compared
+        # corrupted in the recursion's pass over G only: the check of that set
+        # fires before any per-layer sum is compared
         def corrupt(rows):
             return [edit(*row) if row[0] == target else row for row in rows]
 
-        report = c6_minus_0()
-        edit_g_layer(monkeypatch, 2, corrupt)
+        edit_g_layer(monkeypatch, 2, corrupt, module=crosscheck)
         with pytest.raises(InternalCheckError, match=f"{message}.* for set {target:#x}$"):
-            report.delta_b[0]
+            c6_minus_0_delta_b()
 
     def test_identity_check_fires_on_a_survivor_term_counted_in_u_s(self, monkeypatch):
         # a source mutant that adds each survivor's G term to U_S's sum as well:
         # G''s pass and the layer agreement pass, and only the identity sees
         # U_S + P_G' - R_S != P_G
         line = "                old_w += term\n"
-        deletion_mutant(monkeypatch, line, line + "                meets += term\n", "delete_decompose")
+        deletion_mutant(monkeypatch, polynomial, "delete_decompose", line, line + "                meets += term\n")
         with pytest.raises(InternalCheckError, match="deletion identity fails at degree 0"):
             polynomial.delete_decompose(cycle_graph(6), mask_of([0]))
 
     def test_outside_count_check_fires_on_a_wrong_subgraph(self, monkeypatch):
         # a source mutant that leaves S in G''s rows: N_{G'}[{1}] becomes {0, 1, 2}
-        deletion_mutant(monkeypatch, " & ~removed for v", " for v")
-        report = c6_minus_0()
+        deletion_mutant(monkeypatch, crosscheck, "delta_b", " & ~removed for v", " for v")
         with pytest.raises(InternalCheckError, match="outside-count mismatch after deletion for set 0x2"):
-            report.delta_b[0]
+            c6_minus_0_delta_b()
 
     def test_recursion_check_fires_on_a_survivor_term_left_out(self, monkeypatch):
         # a source mutant whose layer-2 sum of |N_{G'}[J]| B_{G'}(J) skips {1, 3}
         line = "                child += size * num\n"
-        deletion_mutant(monkeypatch, line, line.replace("\n", " if mask != 0b1010 else 0\n"))
-        report = c6_minus_0()
+        mutant = line.replace("\n", " if mask != 0b1010 else 0\n")
+        deletion_mutant(monkeypatch, crosscheck, "delta_b", line, mutant)
         with pytest.raises(InternalCheckError, match="G' child sums at layer 2 differ from layer 1's weight"):
-            report.delta_b[0]
+            c6_minus_0_delta_b()
 
     # C6 minus vertex 0: n!/n'! = 6 and n' = 5
     @pytest.mark.parametrize("extra, message", [
@@ -433,14 +420,12 @@ class TestDeleteDecompose:
 
     def test_cross_check_fires_on_a_g_prime_weight_off_by_a_coefficient(self, monkeypatch):
         # n' n!/n'! = 30 more weight at degree 1 passes every check of G''s
-        # pass and adds 1 to F''s coefficient there; only the recursion, run
-        # when delta_b is read, reaches a different weight
+        # pass and adds 1 to F''s coefficient there; only the recursion, whose
+        # pass over G is whole, reaches a different weight
         shift_g_prime_weight(monkeypatch, 1, 30)
-        report = c6_minus_0()
-        monkeypatch.setattr(polynomial, "iter_layers", iter_layers)
-        assert report.p_gprime.f_coeffs[1] == build_polynomial(path_graph(5)).f_coeffs[1] + 1
+        assert c6_minus_0().p_gprime.f_coeffs[1] == build_polynomial(path_graph(5)).f_coeffs[1] + 1
         with pytest.raises(InternalCheckError, match="^G' weight at degree 1 differs from the delta-b recursion's$"):
-            report.delta_b[0]
+            c6_minus_0_delta_b()
 
     @pytest.mark.parametrize("g_prime, k", [(False, 1), (True, 1), (True, 2)],
                              ids=["g-layer-1", "g-prime-layer-1", "g-prime-layer-2"])
@@ -464,26 +449,11 @@ class TestDeleteDecompose:
         with pytest.raises(InternalCheckError, match=f"layer {k}: child sums differ from layer {k - 1}'s weight"):
             c6_minus_0()
 
-    def test_cli_delete_runs_no_delta_b_recursion(self, monkeypatch, tmp_path, capsys):
-        path = tmp_path / "c6.txt"
-        path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
-        argv = ["delete", str(path), "--set", "0,3", "--json"]
-        assert cli.main(argv) == 0
-        expected = capsys.readouterr().out
-
-        def refused(g, removed):
-            raise AssertionError("the CLI ran the delta-b recursion")
-
-        monkeypatch.setattr(polynomial, "_deletion_layers", refused)
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == expected
-
     def test_g_prime_matches_its_own_pass(self, connected_catalog):
         # routes to P_{G-S} that the deletion does not take: the relabelled
         # induced subgraph's own pass; where n - |S| <= 9, the oracle's
         # bad-vertex counts A_k of G - S, through f_j = sum_k C(k, j) A_k; and
-        # reading delta_b, which runs the delta-b recursion and its cross-check
-        # (k) against p_gprime
+        # delta_b, whose recursion must reach p_gprime, cross-check (k)
         rng = random.Random(11)
         pairs = []
         for i in range(400):
@@ -503,7 +473,7 @@ class TestDeleteDecompose:
                     f.pop()
                 assert report.p_gprime.f_coeffs == tuple(f)
                 oracle_pairs += 1
-            assert len(report.delta_b) == sum(map(len, iter_layers(sub)))
+            assert len(delta_b(g, removed)) == sum(map(len, iter_layers(sub)))
         assert oracle_pairs >= 300
 
     def test_random_pairs(self):

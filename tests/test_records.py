@@ -32,8 +32,8 @@ CASES = {
     RegularityProfile: ((2, (5, 2, 0)), (2, (4, 1, 0))),
     RegularityWitness: ((1, 0b1, 2, 0b10, 1), (1, 0b1, 2, 0b100, 1)),
     DeletionReport: (
-        (0b1, None, None, (F(0),), (F(1, 2),), {0: F(0)}),
-        (0b1, None, None, (F(0),), (F(1, 2),), {0: F(1)}),
+        (0b1, None, None, (F(0),), (F(1, 2),)),
+        (0b1, None, None, (F(0),), (F(1, 3),)),
     ),
 }
 FIELDS = {
@@ -44,7 +44,7 @@ FIELDS = {
     BadDistribution: ("counts",),
     RegularityProfile: ("alpha", "a_seq"),
     RegularityWitness: ("size", "first_set", "first_value", "other_set", "other_value"),
-    DeletionReport: ("removed", "p_g", "p_gprime", "r_s", "u_s", "delta_b"),
+    DeletionReport: ("removed", "p_g", "p_gprime", "r_s", "u_s"),
 }
 RECORDS = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 
@@ -56,8 +56,7 @@ def test_equal_fields_compare_equal(cls):
     assert cls(*same) != cls(*other)
     assert cls(*same) != same
     assert same != cls(*same)
-    if cls is not DeletionReport:  # its delta_b is a dict, so it is unhashable
-        assert hash(cls(*same)) == hash(cls(*same))
+    assert hash(cls(*same)) == hash(cls(*same))
 
 
 @RECORDS
@@ -129,11 +128,11 @@ def test_graph_validation_messages(n, adj, message):
         Graph(n, adj)
 
 
-def test_deletion_report_repr_omits_delta_b():
+def test_deletion_report_repr_shows_its_five_fields():
     report = delete_decompose(c5_chord(), mask_of([4]))
     text = repr(report)
     assert text.startswith("DeletionReport(removed=16, p_g=OrderingPolynomial(n=5, ")
-    assert "u_s=" in text and "r_s=" in text
-    assert "delta_b" not in text
+    fields = ", ".join(f"{name}={getattr(report, name)!r}" for name in FIELDS[DeletionReport])
+    assert text == f"DeletionReport({fields})"
     expected = "SigmaResult(n=5, sigma=60, sigma_prime=Fraction(1, 2))"
     assert repr(SigmaResult(5, 60, F(1, 2))) == expected
