@@ -27,16 +27,19 @@ wraps under this module's name, still resolves here, through the module
 Every feature here runs on one pass of ``layers.iter_layers``, which
 carries, per layer, each set's closed neighbourhood N[I] and count B(I),
 and the layer's weight W_k = sum of a(I) B(I); nothing is recomputed
-downstream, and only one previous layer stays resident.
+downstream.  The pass holds about one layer while it builds the next, and
+``_layer_weights`` reads each layer through ``map``, which lets go of it
+before the next is built; a caller that keeps a layer keeps its memory.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from .errors import InternalCheckError
 from .graph import Graph, Record, VertexSet, _parse_vertex_list, open_neighborhood, vertices_of
-from .layers import iter_layers
+from .layers import Layer, iter_layers
 
 #: Old paths of cross-check routes, kept because the benchmark's tracer wraps
 #: ``counting.compute_b_table``; they resolve from ``crosscheck``.
@@ -64,18 +67,23 @@ def _layer_weights(
     g: Graph, universe: VertexSet | None = None, required: VertexSet = 0
 ) -> list[int]:
     """Per layer k, the sum of a(I) * n! * b(I) over the layer's independent
-    sets I within ``universe`` that contain ``required``."""
+    sets I within ``universe`` that contain ``required``.
+
+    ``map`` lets go of each layer before it asks the pass for the next; a
+    loop variable would keep the old layer alive while the next is built.
+    """
     if not required:
-        return [layer.weight for layer in iter_layers(g, universe)]
+        return list(map(attrgetter("weight"), iter_layers(g, universe)))
     n = g.n
-    return [
-        sum(
+
+    def weight(layer: Layer) -> int:
+        return sum(
             (n - nbhd.bit_count()) * count
             for mask, nbhd, count in zip(layer.sets, layer.nbhds, layer.counts)
             if not required & ~mask
         )
-        for layer in iter_layers(g, universe)
-    ]
+
+    return list(map(weight, iter_layers(g, universe)))
 
 
 class SigmaResult(Record):

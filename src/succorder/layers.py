@@ -3,9 +3,17 @@
 Sets are generated by canonical extension: a set is extended only by
 vertices greater than its maximum that avoid its closed neighbourhood, so
 every independent set is produced exactly once, from its own
-maximum-element-removed parent.  Children are built vertex by vertex, each
-from the parents below that vertex in mask order, so every layer comes out
-mask-ascending without a sort, which keeps downstream sums in a stable order.
+maximum-element-removed parent.  A layer is held as one block per maximum
+vertex, in mask order, with the empty set in a block of its own; read block
+after block it is mask-ascending without a sort, which keeps downstream sums
+in a stable order.  A child J = I ∪ {v} lies in v's block; its parents I are
+in the blocks below v, and every other J minus u, u != v, has maximum v, so
+its lookups need v's parent block alone.  The child layer is therefore built
+from the top block down, and each parent block is dropped as soon as its
+own children exist: the pass holds about one layer, not two.  That holds if
+the caller lets go of each yielded layer before asking for the next, as
+``map`` does and a ``for`` loop variable does not; a layer the caller keeps
+is complete and never changed, and keeps its memory.
 
 Each set I carries its closed neighbourhood N[I] in the whole graph, built as
 N[I ∪ {v}] = N[I] | N[v], and its count B(I) = n! b(I): the number of
@@ -21,15 +29,15 @@ that no edge leaves (the whole graph is one), every J in layer k lies in
 |U| - |N[J]| = a(J) - (n - |U|) sets of layer k + 1, so those child sums add
 up to W_k - (n - |U|) sum B(J); a child lost or doubled fails this.  Other
 universes have no such count and skip it.  Either check raises
-InternalCheckError.  Only one previous layer stays resident.
+InternalCheckError.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import islice
+from itertools import chain, islice
+from operator import attrgetter
 
 from .errors import InternalCheckError
 from .graph import Graph, Record, VertexSet, iter_vertices
@@ -55,13 +63,20 @@ class Layer(Record):
         return len(self.sets)
 
 
+#: The block of a maximum vertex that no set of the layer has.
+_EMPTY = ((), (), ())
+
+
 def iter_layers(g: Graph, universe: VertexSet | None = None) -> Iterator[Layer]:
     """Yield layers k = 0, 1, ... of independent sets contained in ``universe``.
 
-    Only the previous layer is kept resident, so memory is bounded by the
-    two largest layers.  Stops after the last nonempty layer.  When no edge
-    leaves ``universe``, each layer's child sums are checked against the
-    layer below, as on the whole graph.
+    The pass holds about one layer: the parent's blocks are dropped from
+    the top down as the next layer is built.  A yielded layer is complete
+    and never mutated, but a caller that keeps it keeps its memory, so the
+    hot callers let go of each layer before asking for the next.  Stops
+    after the last nonempty layer.  When no edge leaves ``universe``, each
+    layer's child sums are checked against the layer below, as on the whole
+    graph.
     """
     if universe is None:
         universe = g.full_mask
@@ -72,15 +87,16 @@ def iter_layers(g: Graph, universe: VertexSet | None = None) -> Iterator[Layer]:
     vertices = list(iter_vertices(universe))
     sealed = not any(closed[v] & ~universe for v in vertices)
     outside = n - len(vertices)
-    sets, nbhds, counts = (0,), (0,), (math.factorial(n),)
-    total = counts[0]
+    total = math.factorial(n)
     weight = n * total
+    # blocks[0] holds the empty set and blocks[i + 1] the sets whose maximum
+    # is vertices[i]: the layer in mask order, cut where the maximum changes
+    blocks = [([0], [0], [total])] + [_EMPTY] * len(vertices)
     k = 0
-    while sets:
-        yield Layer(k, sets, nbhds, counts, weight)
+    while any(sets for sets, _, _ in blocks):
+        yield Layer(k, *_columns(blocks), weight)
         parent_sums = weight - outside * total
-        children = _children(sets, nbhds, counts, vertices, closed, n)
-        sets, nbhds, counts, child_sums, total, weight = children
+        child_sums, total, weight = _children(blocks, vertices, closed, n)
         k += 1
         if n * total - weight != child_sums:
             raise InternalCheckError(f"layer {k}: a count is not its child sum over |N[I]|")
@@ -88,20 +104,24 @@ def iter_layers(g: Graph, universe: VertexSet | None = None) -> Iterator[Layer]:
             raise InternalCheckError(f"layer {k}: child sums differ from layer {k - 1}'s weight")
 
 
-def _children(
-    sets: tuple, nbhds: tuple, counts: tuple, vertices: list, closed: list, n: int
-) -> tuple:
-    """The next layer's sets, neighbourhoods and counts, then the sums of its
-    child sums, of its counts and of a(I) times its counts.  Children with
-    maximum v follow all children with a smaller maximum, in parent order."""
-    count_of = dict(zip(sets, counts))
-    child_sets, child_nbhds, child_counts = [], [], []
-    child_sums = weight = 0
-    for v in vertices:
+def _columns(blocks: list) -> tuple:
+    """A layer's sets, neighbourhoods and counts as flat tuples, block after block."""
+    return tuple(tuple(chain.from_iterable(block[i] for block in blocks)) for i in range(3))
+
+
+def _children(blocks: list, vertices: list, closed: list, n: int) -> tuple:
+    """Replace each block of a layer by its children's block, in place and
+    from the top block down (see the module docstring), and return the sums
+    of the new layer's child sums, of its counts and of a(I) times its
+    counts.  Children follow their parents' order."""
+    child_sums = total = weight = 0
+    for i in range(len(vertices), 0, -1):
+        v = vertices[i - 1]
         low = 1 << v
         closed_v = closed[v]
-        # the parents whose maximum lies below v are a prefix of the layer
-        for members, nbhd, count in islice(zip(sets, nbhds, counts), bisect_left(sets, low)):
+        count_of = dict(zip(blocks[i][0], blocks[i][2]))
+        sets, nbhds, counts = blocks[i] = [], [], []
+        for members, nbhd, count in chain.from_iterable(zip(*block) for block in islice(blocks, i)):
             if nbhd & low:
                 continue
             child = members | low
@@ -113,18 +133,17 @@ def _children(
                 child_sum += count_of[child ^ bit]
             size = child_nbhd.bit_count()
             child_count = child_sum // size
-            child_sets.append(child)
-            child_nbhds.append(child_nbhd)
-            child_counts.append(child_count)
+            sets.append(child)
+            nbhds.append(child_nbhd)
+            counts.append(child_count)
             child_sums += child_sum
             weight += (n - size) * child_count
-    total = sum(child_counts)
-    return tuple(child_sets), tuple(child_nbhds), tuple(child_counts), child_sums, total, weight
+        del count_of  # the last hold on v's parent block, freed before the next dict is built
+        total += sum(counts)
+    blocks[0] = _EMPTY
+    return child_sums, total, weight
 
 
 def independence_number(g: Graph) -> int:
     """Size of the largest independent set."""
-    alpha = 0
-    for layer in iter_layers(g):
-        alpha = layer.k
-    return alpha
+    return max(map(attrgetter("k"), iter_layers(g)))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .counting import SigmaResult, _layer_weights, eval_partial
 from .errors import InternalCheckError, require_internal
 from .graph import Graph, Record, VertexSet, _parse_vertex_list, vertices_of
-from .layers import iter_layers
+from .layers import Layer, iter_layers
 
 
 class OrderingPolynomial(Record):
@@ -193,10 +193,10 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     sub_n = n - removed_size
     nfact = math.factorial(n)
     ratio = nfact // math.factorial(sub_n)
-    # per degree: G's layer weight, U_S, and the survivors' sum of a_G B_G,
-    # count and mask sum
-    g_sums, u_s, kept = [], [], []
-    for layer in iter_layers(g):
+    # each pass goes through ``map`` so that it lets go of a layer before the
+    # next is built; per degree, G's pass keeps its layer weight, U_S and the
+    # survivors' sum of a_G B_G, count and mask sum
+    def g_terms(layer: Layer) -> tuple:
         meets = old_w = count = mask_sum = 0
         for mask, nbhd, num in zip(layer.sets, layer.nbhds, layer.counts):
             term = (n - nbhd.bit_count()) * num
@@ -206,17 +206,17 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
                 old_w += term
                 count += 1
                 mask_sum += mask
-        k = layer.k
-        require_internal(layer.weight == old_w + meets, f"deletion identity fails at degree {k}")
-        g_sums.append(layer.weight)
+        require_internal(layer.weight == old_w + meets, f"deletion identity fails at degree {layer.k}")
+        return layer.weight, meets, old_w, count, mask_sum
+
+    g_sums, u_s, kept = [], [], []
+    for weight, meets, old_w, count, mask_sum in map(g_terms, iter_layers(g)):
+        g_sums.append(weight)
         u_s.append(Fraction(meets, n * nfact))
         if count:
             kept.append((old_w, count, mask_sum))
 
-    remaining = full & ~removed
-    sub = Graph(n, tuple(row & remaining if remaining >> v & 1 else 0 for v, row in enumerate(g.adj)))
-    sub_sums, r_s = [], []
-    for layer in iter_layers(sub, remaining):
+    def g_prime_terms(layer: Layer) -> tuple:
         k = layer.k
         old_w, count, mask_sum = kept[k] if k < len(kept) else (0, 0, 0)
         if (len(layer), sum(layer.sets)) != (count, mask_sum):
@@ -224,9 +224,15 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
         acc = layer.weight - removed_size * sum(layer.counts)
         sub_sum, rem = divmod(acc, ratio)
         require_internal(rem == 0, f"G' weight at degree {k} is not a multiple of n!/n'!")
-        sub_sums.append(sub_sum)
         # R_S at degree k, in units of 1 / (n n' n!)
-        r_s.append(Fraction(n * acc - sub_n * old_w, n * sub_n * nfact))
+        return sub_sum, Fraction(n * acc - sub_n * old_w, n * sub_n * nfact)
+
+    remaining = full & ~removed
+    sub = Graph(n, tuple(row & remaining if remaining >> v & 1 else 0 for v, row in enumerate(g.adj)))
+    sub_sums, r_s = [], []
+    for sub_sum, r in map(g_prime_terms, iter_layers(sub, remaining)):
+        sub_sums.append(sub_sum)
+        r_s.append(r)
     k = len(sub_sums)
     require_internal(k == len(kept), f"G' layer {k} differs from G's survivors of size {k}")
     return DeletionReport(

@@ -15,7 +15,7 @@ import math
 
 from .errors import require_internal
 from .graph import Graph, Record, VertexSet, vertices_of
-from .layers import iter_layers
+from .layers import Layer, iter_layers
 
 
 class RegularityProfile(Record):
@@ -46,29 +46,36 @@ def detect_fully_regular(g: Graph) -> RegularityProfile | RegularityWitness:
     from the neighbourhood each set carries.
     """
     n = g.n
-    a_seq: list[int] = []
-    for layer in iter_layers(g):
+
+    def outside_count(layer: Layer) -> int | RegularityWitness:
         first_value = n - layer.nbhds[0].bit_count()
         for mask, nbhd in zip(layer.sets, layer.nbhds):
             value = n - nbhd.bit_count()
             if value != first_value:
                 return RegularityWitness(layer.k, layer.sets[0], first_value, mask, value)
-        a_seq.append(first_value)
+        return first_value
+
+    a_seq: list[int] = []
+    for verdict in map(outside_count, iter_layers(g)):
+        if isinstance(verdict, RegularityWitness):
+            return verdict
+        a_seq.append(verdict)
     return RegularityProfile(len(a_seq) - 1, tuple(a_seq))
 
 
 def count_check(g: Graph, profile: RegularityProfile) -> bool:
     """Check the layer sizes against a_0 a_1 ... a_{i-1} / i! for every i."""
-    for layer in iter_layers(g):
+
+    def fits(layer: Layer) -> bool:
         if layer.k > profile.alpha:
             return False
         numerator = 1
         for j in range(layer.k):
             numerator *= profile.a_seq[j]
         count, rem = divmod(numerator, math.factorial(layer.k))
-        if rem or count != len(layer):
-            return False
-    return True
+        return not rem and count == len(layer)
+
+    return all(map(fits, iter_layers(g)))
 
 
 def sigma_closed_form(profile: RegularityProfile) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from succorder import cli, counting, eval_partial
+from succorder import ORACLE_MAX_N, cli, counting, eval_partial
 from succorder.errors import InternalCheckError, VerificationError
 
 from conftest import C5_CHORD_TEXT, c5_chord
@@ -199,6 +199,17 @@ class TestVerify:
     def test_max_n_flag_tightens_guard(self, c5chord_file):
         proc = run_cli("verify", c5chord_file, "--max-n", "4")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("max_n", [None, 7], ids=["oracle-max-n", "max-n-flag"])
+    def test_limit_admits_n_equal_to_it(self, tmp_path, capsys, max_n):
+        # a path on n = limit vertices is verified; one on limit + 1 is refused
+        limit = ORACLE_MAX_N if max_n is None else max_n
+        options = [] if max_n is None else ["--max-n", str(max_n)]
+        for n, code in ((limit, 0), (limit + 1, 1)):
+            path = tmp_path / f"p{n}.txt"
+            path.write_text(f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+            assert cli.main(["verify", str(path), "--json", *options]) == code
+        assert f"verify is limited to n <= {limit}, got n = {limit + 1}" in capsys.readouterr().err
 
 
 class TestBench:

@@ -132,16 +132,20 @@ def edit_children(monkeypatch, k, edit):
     """Have iter_layers build layer k through ``edit``.
 
     ``edit`` gets n, the layer's rows (set, neighbourhood, count) and its
-    sums [child sums, sum of counts, weight], and returns both.
+    sums [child sums, sum of counts, weight], and returns both; the rows go
+    back into the layer's blocks by maximum vertex.
     """
     children = layers._children
 
-    def edited(sets, nbhds, counts, vertices, closed, n):
-        *columns, child_sums, total, weight = children(sets, nbhds, counts, vertices, closed, n)
-        if sets[0].bit_count() + 1 != k:
-            return (*columns, child_sums, total, weight)
-        rows, sums = edit(n, list(zip(*columns)), [child_sums, total, weight])
-        return (*(tuple(row[i] for row in rows) for i in range(3)), *sums)
+    def edited(blocks, vertices, closed, n):
+        parent_k = next(sets[0] for sets, _, _ in blocks if sets).bit_count()
+        sums = children(blocks, vertices, closed, n)
+        if parent_k + 1 != k:
+            return sums
+        rows, sums = edit(n, [row for block in blocks for row in zip(*block)], list(sums))
+        for i, v in enumerate(vertices, 1):
+            blocks[i] = tuple(zip(*(row for row in rows if row[0].bit_length() - 1 == v))) or ((), (), ())
+        return tuple(sums)
 
     monkeypatch.setattr(layers, "_children", edited)
 
@@ -288,6 +292,39 @@ def test_delete_decompose_heap_peak_is_that_of_sigma():
             tracemalloc.stop()
 
     assert peak(lambda: delete_decompose(g, mask_of([0]))) <= 1.1 * peak(lambda: sigma(g))
+
+
+def test_sigma_heap_peak_is_about_one_layer():
+    # the pass builds each layer from its top block down and drops each
+    # parent block once its children exist, and sigma lets go of each layer
+    # before asking for the next, so at n = 24 (32,834 independent sets) the
+    # heap peak is about 1.2x the footprint of the largest layer; holding two
+    # whole layers read 2.3x
+    g = random_connected_graph(24, 0.1, seed=1)
+    tracemalloc.start()
+    try:
+        largest = max(iter_layers(g), key=len)
+        footprint = tracemalloc.get_traced_memory()[0]
+        del largest
+        tracemalloc.reset_peak()
+        sigma(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * footprint
+
+
+def test_kept_layers_equal_a_fresh_run_set_for_set():
+    # a yielded layer is complete when yielded and never changed after, so
+    # layers kept to the end equal those read one at a time as they come
+    g = random_connected_graph(18, 0.15, seed=4)
+    kept = list(iter_layers(g))
+    fresh = iter_layers(g)
+    for layer in kept:
+        assert layer == next(fresh)
+        assert all(type(column) is tuple for column in (layer.sets, layer.nbhds, layer.counts))
+        assert list(layer.sets) == sorted(layer.sets)
+    assert next(fresh, None) is None
 
 
 @pytest.mark.parametrize(

@@ -436,14 +436,16 @@ class TestDeleteDecompose:
         # comparison between the two
         children = layers._children
 
-        def dropping(sets, nbhds, counts, vertices, closed, n):
-            *columns, child_sums, total, weight = children(sets, nbhds, counts, vertices, closed, n)
-            if (0 not in vertices) != g_prime or sets[0].bit_count() + 1 != k:
-                return (*columns, child_sums, total, weight)
-            (_, *child_sets), (nbhd, *child_nbhds), (count, *child_counts) = columns
+        def dropping(blocks, vertices, closed, n):
+            parent_k = next(sets[0] for sets, _, _ in blocks if sets).bit_count()
+            child_sums, total, weight = children(blocks, vertices, closed, n)
+            if (0 not in vertices) != g_prime or parent_k + 1 != k:
+                return child_sums, total, weight
+            i = next(i for i, (sets, _, _) in enumerate(blocks) if sets)
+            (_, *child_sets), (nbhd, *child_nbhds), (count, *child_counts) = blocks[i]
+            blocks[i] = child_sets, child_nbhds, child_counts
             size = nbhd.bit_count()
-            return (tuple(child_sets), tuple(child_nbhds), tuple(child_counts),
-                    child_sums - size * count, total - count, weight - (n - size) * count)
+            return child_sums - size * count, total - count, weight - (n - size) * count
 
         monkeypatch.setattr(layers, "_children", dropping)
         with pytest.raises(InternalCheckError, match=f"layer {k}: child sums differ from layer {k - 1}'s weight"):
