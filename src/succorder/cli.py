@@ -112,7 +112,6 @@ _COMMANDS = {
     "regular": ("regular", "_cmd_regular", True, "fully-regular profile or witness", _JSON),
     "verify": ("oracle", "_cmd_verify", True, "compare the engine against the exact oracle", {
         **_JSON,
-        "--max-n": (_decimal, None, "MAX_N", "size guard (default: the oracle's cap)"),
         "--seed": (_decimal, 0, "SEED", "seed for sampled events"),
     }),
     "bench": ("randgraph", "_cmd_bench", False, "time the engine on a random graph", {
@@ -126,11 +125,6 @@ _COMMANDS = {
 
 def _is_option(arg: str) -> bool:
     return arg.startswith("-") and arg != "-"
-
-
-def _dest(name: str) -> str:
-    """The key of an option in the parsed dict: ``--max-n`` as ``max_n``."""
-    return name[2:].replace("-", "_")
 
 
 def _spelling(name: str, spec: tuple) -> str:
@@ -176,7 +170,7 @@ def _usage_error(command: str | None, message: str) -> None:
 
 
 def _parse_args(argv: list[str]) -> dict:
-    """The command, its ``path`` and its options by ``_dest`` name.
+    """The command, its ``path`` and its options, ``--seed`` as ``seed``.
 
     Options go on either side of the path, as ``--opt VALUE`` or
     ``--opt=VALUE``, and everything after ``--`` is positional.  Long
@@ -203,7 +197,7 @@ def _parse_args(argv: list[str]) -> dict:
         _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
     _, _, takes_path, _, options = _COMMANDS[command]
     opts = {"command": command, "path": None}
-    opts.update((_dest(name), spec[1]) for name, spec in options.items())
+    opts.update((name[2:], spec[1]) for name, spec in options.items())
     positional_only = False
     for arg in args:
         if positional_only or not _is_option(arg):
@@ -237,7 +231,7 @@ def _parse_args(argv: list[str]) -> dict:
                 value = convert(value)
             except ValueError as exc:
                 _usage_error(command, f"argument {name}: {exc}")
-        opts[_dest(name)] = value
+        opts[name[2:]] = value
     if takes_path and opts["path"] is None:
         _usage_error(command, "the following arguments are required: path")
     if unrecognized:

@@ -145,12 +145,9 @@ def eval_indicator(g: Graph, good_set: VertexSet) -> Fraction:
         raise ValueError("vertex set mentions vertices outside the graph")
     table = compute_b_table(g)
     total = Fraction(0)
-    for k, layer in enumerate(table.layers):
-        sign = -1 if k & 1 else 1
-        for mask in layer:
-            if mask & ~good_set:
-                continue
-            total += sign * weight(g, mask, table)
+    for mask, _ in table.items():
+        if not mask & ~good_set:
+            total += (-1) ** mask.bit_count() * weight(g, mask, table)
     return total
 
 

@@ -64,7 +64,7 @@ def detect_fully_regular(g: Graph) -> RegularityProfile | RegularityWitness:
 
 
 def count_check(g: Graph, profile: RegularityProfile) -> bool:
-    """Check the layer sizes against a_0 a_1 ... a_{i-1} / i! for every i."""
+    """Check the layer sizes against a_0 a_1 ... a_{i-1} / i! for every i = 0..alpha."""
 
     def fits(layer: Layer) -> bool:
         if layer.k > profile.alpha:
@@ -75,7 +75,8 @@ def count_check(g: Graph, profile: RegularityProfile) -> bool:
         count, rem = divmod(numerator, math.factorial(layer.k))
         return not rem and count == len(layer)
 
-    return all(map(fits, iter_layers(g)))
+    fitted = list(map(fits, iter_layers(g)))
+    return all(fitted) and len(fitted) == profile.alpha + 1
 
 
 def sigma_closed_form(profile: RegularityProfile) -> int:

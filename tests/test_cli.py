@@ -196,20 +196,48 @@ class TestVerify:
         assert proc.returncode == 1
         assert "limited" in proc.stderr
 
-    def test_max_n_flag_tightens_guard(self, c5chord_file):
-        proc = run_cli("verify", c5chord_file, "--max-n", "4")
-        assert proc.returncode == 1
-
-    @pytest.mark.parametrize("max_n", [None, 7], ids=["oracle-max-n", "max-n-flag"])
-    def test_limit_admits_n_equal_to_it(self, tmp_path, capsys, max_n):
+    @pytest.mark.parametrize("limit", [ORACLE_MAX_N], ids=["oracle-max-n"])
+    def test_limit_admits_n_equal_to_it(self, tmp_path, capsys, limit):
         # a path on n = limit vertices is verified; one on limit + 1 is refused
-        limit = ORACLE_MAX_N if max_n is None else max_n
-        options = [] if max_n is None else ["--max-n", str(max_n)]
         for n, code in ((limit, 0), (limit + 1, 1)):
             path = tmp_path / f"p{n}.txt"
             path.write_text(f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
-            assert cli.main(["verify", str(path), "--json", *options]) == code
-        assert f"verify is limited to n <= {limit}, got n = {limit + 1}" in capsys.readouterr().err
+            assert cli.main(["verify", str(path), "--json"]) == code
+        assert f"oracle is limited to n <= {limit}, got n = {limit + 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, wrong, message",
+        [
+            ("sigma", lambda g: counting.SigmaResult(5, 1, Fraction(1)), "sigma: engine 1 != "),
+            ("pr_good", lambda g, universe: Fraction(2), "Pr(G_U) for U="),
+            ("eval_partial", lambda g, bad, good: Fraction(2), "Pr(B_T ∩ G_S) for T="),
+        ],
+        ids=["sigma", "universe", "mixed"],
+    )
+    def test_wrong_engine_answer_maps_to_3(
+        self, monkeypatch, capsys, c5chord_file, name, wrong, message
+    ):
+        # the 8 universes go to pr_good and the 8 mixed events to eval_partial, by position
+        monkeypatch.setattr(counting, name, wrong)
+        assert cli.main(["verify", c5chord_file]) == 3
+        assert f"verification mismatch: {message}" in capsys.readouterr().err
+
+    def test_one_prefix_walk_answers_every_check(self, monkeypatch, capsys, c5chord_file):
+        from succorder import oracle
+
+        calls = []
+        walk = oracle._prefix_counts
+
+        def counted(g, *args):
+            calls.append(args)
+            return walk(g, *args)
+
+        monkeypatch.setattr(oracle, "_prefix_counts", counted)
+        assert cli.main(["verify", c5chord_file, "--json"]) == 0
+        assert len(calls) == 1
+        # the distribution, 8 universes and 8 mixed events
+        assert len(calls[0][0]) == 17
+        assert '"events_sampled":16' in capsys.readouterr().out
 
 
 class TestBench:
@@ -495,7 +523,6 @@ class TestExitCodeMapping:
             ["bench", "--seed", "\u0661"],
             ["bench", "--density", "0_1"],
             ["verify", "{path}", "--seed", "\u0663"],
-            ["verify", "{path}", "--max-n", "\u0669"],
         ],
     )
     def test_usage_error_maps_to_1(self, argv, c5chord_file):

@@ -14,6 +14,7 @@ from succorder import (
     mask_of,
     random_connected_graph,
 )
+from succorder.oracle import _prefix_counts
 
 from conftest import (
     c5_chord,
@@ -132,21 +133,33 @@ class TestBruteEvent:
 
 
 def assert_matches_permutation_scan(g, seed):
-    """sigma, the distribution and sampled events equal a plain scan of all n! orderings."""
+    """sigma, the distribution and sampled events equal a plain scan of all n! orderings.
+
+    Each entry point is checked on its own, and then every event at once in
+    one ``_prefix_counts`` walk, which must give each event's histogram.
+    """
     scan = Counter(bad_vertices(g, p) for p in itertools.permutations(range(g.n)))
-    histogram = [0] * (g.n + 1)
-    for bad, count in scan.items():
-        histogram[bad.bit_count()] += count
+
+    def histogram(t, s):
+        counts = [0] * (g.n + 1)
+        for bad, count in scan.items():
+            if bad & t == t and not bad & s:
+                counts[bad.bit_count()] += count
+        return counts
+
     assert brute_sigma(g) == scan[0]
-    assert brute_distribution(g).counts == tuple(histogram)
+    assert brute_distribution(g).counts == tuple(histogram(0, 0))
 
     rng = random.Random(seed)
+    events = [(0, 0), (0, g.full_mask)]
     for _ in range(6):
         bad_req = rng.getrandbits(g.n) & rng.getrandbits(g.n)
         good_req = rng.getrandbits(g.n) & ~bad_req
         for t, s in ((bad_req, good_req), (bad_req, 0), (0, good_req)):
-            hits = sum(c for bad, c in scan.items() if bad & t == t and not bad & s)
+            hits = sum(histogram(t, s))
             assert brute_event(g, t, s) == Fraction(hits, math.factorial(g.n)), (t, s)
+            events.append((t, s))
+    assert _prefix_counts(g, events) == [histogram(t, s) for t, s in events]
 
 
 class TestAgainstPermutationScan:

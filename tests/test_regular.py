@@ -70,6 +70,10 @@ class TestCountCheck:
         g = cycle_graph(5)
         assert not count_check(g, RegularityProfile(alpha=2, a_seq=(5, 3, 0)))
 
+    def test_fails_on_a_graph_with_fewer_layers(self):
+        # C5's profile (5, 2, 0) predicts 5 independent pairs; K5 has none
+        assert not count_check(complete_graph(5), detect_fully_regular(cycle_graph(5)))
+
 
 class TestClosedForm:
     def test_c5(self):
