@@ -11,21 +11,19 @@ Arguments are parsed with one table, ``_COMMANDS``: per command, the
 handler, whether it reads an edge-list path, and its options with a
 converter and a default.  The same table prints ``-h``.  Options go on
 either side of the path, as ``--opt VALUE`` or ``--opt=VALUE``, and are
-spelled in full.  argparse is not used: importing it, with gettext and
-locale, and building its parser cost about 6 ms a process.
+spelled in full.  argparse is not used: it and its imports cost about 6 ms.
 
 This module imports only ``errors`` and ``graph`` at load time.  Each
 command's handler lives beside the engine module it runs, and
 ``_COMMANDS`` names it by module and function, so a process imports and
 compiles one handler, not eight, and ``-h`` imports none.  ``count`` and
-``eval`` run ``counting``'s handlers and load ``layers`` and ``counting``
-and nothing else of the package; ``poly``, ``distribution`` and
-``delete`` run ``polynomial``'s, ``regular`` runs ``regular``'s (with
-``layers``), ``bench`` runs ``randgraph``'s, which adds ``counting`` and
-``polynomial``, and only ``verify`` runs the oracle's.  ``count``,
-``eval`` and ``regular`` import neither ``fractions`` nor ``decimal``:
-their ratios are printed from the engine's integers by
-``counting._ratio_text``.  No command loads ``crosscheck``.
+``eval`` load ``layers`` and ``counting`` and nothing else of the package,
+``regular`` loads ``layers`` and ``regular``, ``poly``, ``distribution``
+and ``delete`` add ``polynomial`` to ``count``'s, ``bench`` adds
+``randgraph`` to those, and only ``verify`` loads the oracle.  Only
+``delete`` and ``verify`` import ``fractions`` (and ``decimal``); the
+others print ratios from integers through ``counting._ratio_text``.  No
+command loads ``crosscheck``.
 
 The stderr ``elapsed: <x> ms`` line times only what follows argument
 parsing: reading the input, the handler's engine imports (about 4 ms for

@@ -13,16 +13,13 @@ n! times n.  Because sigma(G) reaches n!-scale and the alternating sum
 cancels heavily, the final "n! * sigma' is an integer in [0, n!]" assertion
 doubles as a free correctness check.
 
-Each result has an integer core: the signed layer sum, a numerator over
-n * n!, whose [0, 1] and integrality checks run in integers.  ``sigma``,
-``pr_good`` and ``eval_partial`` wrap the cores into ``fractions.Fraction``
-values and import ``fractions`` only where they build one.  The CLI's
-``count`` and ``eval`` handlers live here and print the cores through
-``_ratio_text``, so those processes load neither ``fractions`` nor the
-``decimal`` module it imports.  The cross-check routes that lived here
-are in ``crosscheck``; ``compute_b_table``, which the benchmark's tracer
-wraps under this module's name, still resolves here, through the module
-``__getattr__``.
+Every result here is a signed layer sum, a numerator over n * n!, whose
+[0, 1] and integrality checks run in integers.  ``sigma`` returns the
+integer count; ``pr_good``, ``eval_partial`` and ``SigmaResult``'s derived
+``sigma_prime`` return Fractions and import ``fractions`` only where they
+build one.  The CLI's ``count`` and ``eval`` handlers live here and print
+their ratios through ``_ratio_text``, so those processes load neither
+``fractions`` nor the ``decimal`` module it imports.
 
 Every feature here runs on one pass of ``layers.iter_layers``, which
 carries, per layer, each set's closed neighbourhood N[I] and count B(I),
@@ -87,12 +84,17 @@ def _layer_weights(
 
 
 class SigmaResult(Record):
-    """Exact count of successive orderings and the matching probability."""
+    """Exact count of successive orderings; ``sigma_prime`` is the probability sigma / n!."""
 
-    __slots__ = ("n", "sigma", "sigma_prime")
+    __slots__ = ("n", "sigma")
     n: int
     sigma: int
-    sigma_prime: Fraction
+
+    @property
+    def sigma_prime(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.sigma, math.factorial(self.n))
 
 
 def _signed_sum(g: Graph, universe: VertexSet | None, required: VertexSet = 0) -> int:
@@ -113,27 +115,19 @@ def _signed_sum(g: Graph, universe: VertexSet | None, required: VertexSet = 0) -
     return numer
 
 
-def _sigma_count(g: Graph) -> int:
-    """sigma(G) = n! * sigma'(G) in integers: the signed sum over every
-    independent set, divided by n, asserted exact."""
-    numer = _signed_sum(g, None)
-    count, rem = divmod(numer, g.n)
-    if rem:
-        raise InternalCheckError(f"n! * sigma' = {_ratio_text(numer, g.n)} is not an integer")
-    return count
-
-
 def sigma(g: Graph) -> SigmaResult:
     """Count the successive vertex orderings of g, exactly.
 
     sigma'(G) = sum over independent I of (-1)^|I| * a(I)/n * b(I) and
-    sigma(G) = n! * sigma'(G); integrality and the [0, n!] range are
-    asserted (a failure would mean an engine bug, not bad input).
+    sigma(G) = n! * sigma'(G), the signed sum over every independent set
+    divided by n; integrality and the [0, n!] range are asserted (a failure
+    would mean an engine bug, not bad input).
     """
-    from fractions import Fraction
-
-    count = _sigma_count(g)
-    return SigmaResult(g.n, count, Fraction(count, math.factorial(g.n)))
+    numer = _signed_sum(g, None)
+    count, rem = divmod(numer, g.n)
+    if rem:
+        raise InternalCheckError(f"n! * sigma' = {_ratio_text(numer, g.n)} is not an integer")
+    return SigmaResult(g.n, count)
 
 
 def pr_good(g: Graph, universe: VertexSet) -> Fraction:
@@ -174,7 +168,7 @@ def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
 
 def _cmd_count(opts: dict, g: Graph) -> dict:
     """The CLI's ``count`` command (see ``cli._COMMANDS``)."""
-    count = _sigma_count(g)
+    count = sigma(g).sigma
     return {"sigma": str(count), "sigma_prime": _ratio_text(count, math.factorial(g.n))}
 
 

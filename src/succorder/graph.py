@@ -127,8 +127,6 @@ class Graph(Record):
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             adj[u] |= 1 << v

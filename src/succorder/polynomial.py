@@ -8,7 +8,10 @@ module also evaluates the multivariate refinement (one variable per
 vertex) at indicator points, and decomposes P_G under vertex deletion;
 the paper's Δb recursion for that deletion is a cross-check route, in
 ``crosscheck.delta_b``.  The CLI handlers of ``poly``, ``distribution``
-and ``delete`` live here.
+and ``delete`` live here.  ``OrderingPolynomial`` stores F and derives P_G
+on demand, and ``poly`` and ``distribution`` print P_G from F through
+``_ratio_text``, so they load no ``fractions``; only the rational results
+of ``eval_indicator`` and ``delete_decompose`` import it.
 
 The multivariate polynomial is never materialized monomial by monomial;
 every evaluation of it that matters here reduces to a filtered signed sum
@@ -18,28 +21,33 @@ over independent sets, and that is what is implemented.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 # eval_partial is re-exported: perfbench traces polynomial.eval_partial
-from .counting import SigmaResult, _layer_weights, eval_partial
+from .counting import SigmaResult, _layer_weights, _ratio_text, eval_partial
 from .errors import InternalCheckError, require_internal
 from .graph import Graph, Record, VertexSet, _parse_vertex_list, vertices_of
 from .layers import Layer, iter_layers
 
 
 class OrderingPolynomial(Record):
-    """Coefficients of P_G(x) and of its integer companion F(x) = n! P_G(x).
+    """Coefficients of F(x) = n! P_G(x), and of P_G(x) derived from them.
 
-    ``p_coeffs[j]`` is the total weight of independent sets of size j;
-    ``f_coeffs[j] = n! * p_coeffs[j]`` counts pairs (ordering, independent
-    j-subset of its bad vertices), hence is a nonnegative integer.
-    Trailing zero coefficients are trimmed.
+    ``f_coeffs[j]`` counts pairs (ordering, independent j-subset of its bad
+    vertices), hence is a nonnegative integer; ``p_coeffs[j] = f_coeffs[j]
+    / n!`` is the total weight of independent sets of size j.  Trailing
+    zero coefficients are trimmed.
     """
 
-    __slots__ = ("n", "p_coeffs", "f_coeffs")
+    __slots__ = ("n", "f_coeffs")
     n: int
-    p_coeffs: tuple[Fraction, ...]
     f_coeffs: tuple[int, ...]
+
+    @property
+    def p_coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
+        nfact = math.factorial(self.n)
+        return tuple(Fraction(c, nfact) for c in self.f_coeffs)
 
     def f_at(self, x: int) -> int:
         """Evaluate F at an integer point (Horner)."""
@@ -81,30 +89,28 @@ def build_polynomial(g: Graph) -> OrderingPolynomial:
 
 
 def _polynomial(n: int, layer_sums: list[int]) -> OrderingPolynomial:
-    """P_G and F from the per-layer sums W_k of a(I) * n! * b(I).
+    """F, hence P_G, from the per-layer sums W_k of a(I) * n! * b(I).
 
     F's coefficient at degree k is W_k / n; its integrality and
     nonnegativity are asserted, and a failure would signal an arithmetic bug.
     """
-    nfact = math.factorial(n)
     f: list[int] = []
     for k, layer_sum in enumerate(layer_sums):
         c, rem = divmod(layer_sum, n)
         require_internal(rem == 0, f"F coefficient at degree {k} is not integral")
         require_internal(c >= 0, f"F coefficient at degree {k} is negative")
         f.append(c)
-    require_internal(f[0] == nfact, "constant coefficient of P_G must be 1")
+    require_internal(f[0] == math.factorial(n), "constant coefficient of P_G must be 1")
     while len(f) > 1 and f[-1] == 0:
         f.pop()
-    return OrderingPolynomial(n, tuple(Fraction(c, nfact) for c in f), tuple(f))
+    return OrderingPolynomial(n, tuple(f))
 
 
 def eval_at_minus_one(poly: OrderingPolynomial) -> SigmaResult:
     """sigma(G) = F(-1): the count of orderings with no bad vertex."""
-    nfact = math.factorial(poly.n)
     total = poly.f_at(-1)
-    require_internal(0 <= total <= nfact, f"F(-1) = {total} outside [0, n!]")
-    return SigmaResult(poly.n, total, Fraction(total, nfact))
+    require_internal(0 <= total <= math.factorial(poly.n), f"F(-1) = {total} outside [0, n!]")
+    return SigmaResult(poly.n, total)
 
 
 def bad_distribution(poly: OrderingPolynomial) -> BadDistribution:
@@ -139,6 +145,8 @@ def eval_indicator(g: Graph, good_set: VertexSet) -> Fraction:
     filtering the full-graph b-table, deliberately a different route from
     ``pr_good``'s restricted enumeration.
     """
+    from fractions import Fraction
+
     from .crosscheck import compute_b_table, weight
 
     if good_set & ~g.full_mask:
@@ -180,6 +188,8 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     The paper's triangular recursion on Δb = b_{G-S} - b_G, and its checks
     (b), (c), (d), (h) and (k), run in ``crosscheck.delta_b``.
     """
+    from fractions import Fraction
+
     full = g.full_mask
     if removed & ~full:
         raise ValueError("removal set mentions vertices outside the graph")
@@ -247,8 +257,9 @@ def _cmd_poly(opts: dict, g: Graph) -> dict:
     dist = bad_distribution(poly)
     result = eval_at_minus_one(poly)
     require_internal(result.sigma == dist.counts[0], "F(-1) differs from the zero-bad count")
+    nfact = math.factorial(g.n)
     return {
-        "p_coeffs": [str(c) for c in poly.p_coeffs],
+        "p_coeffs": [_ratio_text(c, nfact) for c in poly.f_coeffs],
         "f_coeffs": [str(c) for c in poly.f_coeffs],
         "A": [str(c) for c in dist.counts],
         "sigma": str(result.sigma),

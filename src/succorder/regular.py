@@ -21,9 +21,12 @@ from .layers import Layer, iter_layers
 class RegularityProfile(Record):
     """The constants a_0..a_alpha of a fully regular graph (a_0 = n)."""
 
-    __slots__ = ("alpha", "a_seq")
-    alpha: int
+    __slots__ = ("a_seq",)
     a_seq: tuple[int, ...]
+
+    @property
+    def alpha(self) -> int:
+        return len(self.a_seq) - 1
 
 
 class RegularityWitness(Record):
@@ -60,18 +63,14 @@ def detect_fully_regular(g: Graph) -> RegularityProfile | RegularityWitness:
         if isinstance(verdict, RegularityWitness):
             return verdict
         a_seq.append(verdict)
-    return RegularityProfile(len(a_seq) - 1, tuple(a_seq))
+    return RegularityProfile(tuple(a_seq))
 
 
 def count_check(g: Graph, profile: RegularityProfile) -> bool:
     """Check the layer sizes against a_0 a_1 ... a_{i-1} / i! for every i = 0..alpha."""
 
     def fits(layer: Layer) -> bool:
-        if layer.k > profile.alpha:
-            return False
-        numerator = 1
-        for j in range(layer.k):
-            numerator *= profile.a_seq[j]
+        numerator = math.prod(profile.a_seq[:layer.k])
         count, rem = divmod(numerator, math.factorial(layer.k))
         return not rem and count == len(layer)
 
@@ -88,11 +87,9 @@ def sigma_closed_form(profile: RegularityProfile) -> int:
     from fractions import Fraction
 
     a = profile.a_seq
-    total = Fraction(0)
-    term = Fraction(1)
-    for i in range(profile.alpha + 1):
-        if i:
-            term *= Fraction(-a[i], a[0] - a[i])
+    total = term = Fraction(1)
+    for a_j in a[1:]:
+        term *= Fraction(-a_j, a[0] - a_j)
         total += term
     scaled = math.factorial(a[0]) * total
     require_internal(scaled.denominator == 1, f"closed form {scaled} is not an integer")

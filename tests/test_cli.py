@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from succorder import ORACLE_MAX_N, cli, counting, eval_partial
+from succorder import ORACLE_MAX_N, BadDistribution, cli, counting, eval_partial
 from succorder.errors import InternalCheckError, VerificationError
 
 from conftest import C5_CHORD_TEXT, c5_chord
@@ -208,17 +208,19 @@ class TestVerify:
     @pytest.mark.parametrize(
         "name, wrong, message",
         [
-            ("sigma", lambda g: counting.SigmaResult(5, 1, Fraction(1)), "sigma: engine 1 != "),
-            ("pr_good", lambda g, universe: Fraction(2), "Pr(G_U) for U="),
-            ("eval_partial", lambda g, bad, good: Fraction(2), "Pr(B_T ∩ G_S) for T="),
+            ("counting.sigma", lambda g: counting.SigmaResult(5, 1), "sigma: engine 1 != "),
+            ("polynomial.bad_distribution", lambda poly: BadDistribution((60, 0)),
+             "distribution: engine (60, 0) != oracle "),
+            ("counting.pr_good", lambda g, universe: Fraction(2), "Pr(G_U) for U="),
+            ("counting.eval_partial", lambda g, bad, good: Fraction(2), "Pr(B_T ∩ G_S) for T="),
         ],
-        ids=["sigma", "universe", "mixed"],
+        ids=["sigma", "distribution", "universe", "mixed"],
     )
     def test_wrong_engine_answer_maps_to_3(
         self, monkeypatch, capsys, c5chord_file, name, wrong, message
     ):
         # the 8 universes go to pr_good and the 8 mixed events to eval_partial, by position
-        monkeypatch.setattr(counting, name, wrong)
+        monkeypatch.setattr(f"succorder.{name}", wrong)
         assert cli.main(["verify", c5chord_file]) == 3
         assert f"verification mismatch: {message}" in capsys.readouterr().err
 
@@ -245,7 +247,7 @@ class TestBench:
         payload = payload_of(
             run_cli("bench", "--n", "10", "--density", "0.3", "--seed", "7", "--json", check=True)
         )
-        assert payload["self_check"] == "ok"
+        assert "self_check" not in payload
         assert int(payload["sigma"]) > 0
         assert payload["elapsed_ms"] >= 0
 
@@ -303,9 +305,9 @@ def imports_after_main(argv):
 
 class TestImportPath:
     """Only verify loads the oracle, count and eval load no polynomial and
-    no other command's handler, count, eval and regular load no fractions,
-    and no command loads numpy, an argument parser or the cross-check
-    routes."""
+    no other command's handler, every command but delete and verify loads
+    no fractions, and no command loads numpy, an argument parser or the
+    cross-check routes."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -358,6 +360,9 @@ class TestImportPath:
             ["count", "{path}"],
             ["eval", "{path}", "--good", "1,2", "--bad", "0"],
             ["regular", "{path}"],
+            ["poly", "{path}"],
+            ["distribution", "{path}"],
+            ["bench", "--n", "8"],
         ],
     )
     def test_integer_commands_load_no_fractions(self, argv, c5chord_file):
@@ -468,7 +473,7 @@ class TestExitCodeMapping:
         def boom(_):
             raise InternalCheckError("fabricated")
 
-        monkeypatch.setattr(counting, "_sigma_count", boom)
+        monkeypatch.setattr(counting, "sigma", boom)
         assert cli.main(["count", c5chord_file]) == 2
 
     def test_probability_range_check_maps_to_2(self, monkeypatch, c5chord_file):
@@ -509,7 +514,7 @@ class TestExitCodeMapping:
         def boom(_):
             raise VerificationError("fabricated")
 
-        monkeypatch.setattr(counting, "_sigma_count", boom)
+        monkeypatch.setattr(counting, "sigma", boom)
         assert cli.main(["count", c5chord_file]) == 3
 
     @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ from succorder import (
     b_permutation_sum,
     closed_neighborhood,
     compute_b_table,
+    eval_indicator,
+    eval_partial,
     induced_subgraph,
     is_connected,
     is_independent,
@@ -218,6 +220,9 @@ class TestInducedSubgraph:
         is_independent,
         b_permutation_sum,
         pr_bad_via_mobius,
+        eval_indicator,
+        pytest.param(lambda g, mask: eval_partial(g, mask, 0), id="eval_partial-bad"),
+        pytest.param(lambda g, mask: eval_partial(g, 0, mask), id="eval_partial-good"),
     ],
     ids=lambda call: call.__name__,
 )

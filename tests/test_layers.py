@@ -262,18 +262,19 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
 
 
 def test_delete_decompose_builds_no_fraction_per_delta_b_entry(monkeypatch):
-    # Δb is crosscheck.delta_b's, so the deletion builds only the per-degree
-    # Fractions (P_G, P_G', R_S and U_S), never one per set
+    # Δb is crosscheck.delta_b's and P_G, P_G' are stored as integers, so the
+    # deletion builds only the per-degree Fractions of R_S and U_S, never one per set
     built = []
+    new = Fraction.__new__
 
-    def counted(*args):
+    def counted(cls, *args, **kwargs):
         built.append(args)
-        return Fraction(*args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(polynomial, "Fraction", counted)
+    monkeypatch.setattr(Fraction, "__new__", counted)
     g = random_connected_graph(14, 0.2, seed=5)
     report = delete_decompose(g, mask_of([3]))
-    layers = len(report.p_g.p_coeffs)
+    layers = len(report.p_g.f_coeffs)
     assert len(built) <= 8 * layers
 
 

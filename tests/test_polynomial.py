@@ -163,7 +163,7 @@ class TestEvalAtMinusOne:
             assert eval_at_minus_one(build_polynomial(g)).sigma == sigma(g).sigma
 
     def test_range_check_fires_on_corrupt_polynomial(self):
-        poly = OrderingPolynomial(3, (F(2),), (12,))
+        poly = OrderingPolynomial(3, (12,))
         with pytest.raises(InternalCheckError):
             eval_at_minus_one(poly)
 

@@ -19,7 +19,7 @@ from conftest import c5_chord, complete_bipartite, complete_graph, cycle_graph, 
 class TestDetect:
     def test_c5_is_fully_regular(self):
         profile = detect_fully_regular(cycle_graph(5))
-        assert profile == RegularityProfile(alpha=2, a_seq=(5, 2, 0))
+        assert profile == RegularityProfile(a_seq=(5, 2, 0))
 
     def test_c5_chord_witness(self):
         verdict = detect_fully_regular(c5_chord())
@@ -39,7 +39,7 @@ class TestDetect:
 
     def test_balanced_bipartite_regular(self):
         profile = detect_fully_regular(complete_bipartite(2, 2))
-        assert profile == RegularityProfile(alpha=2, a_seq=(4, 1, 0))
+        assert profile == RegularityProfile(a_seq=(4, 1, 0))
 
     def test_unbalanced_bipartite_is_not(self):
         # sides of different sizes give different outside counts for singletons
@@ -68,11 +68,15 @@ class TestCountCheck:
 
     def test_fails_on_wrong_profile(self):
         g = cycle_graph(5)
-        assert not count_check(g, RegularityProfile(alpha=2, a_seq=(5, 3, 0)))
+        assert not count_check(g, RegularityProfile(a_seq=(5, 3, 0)))
 
     def test_fails_on_a_graph_with_fewer_layers(self):
         # C5's profile (5, 2, 0) predicts 5 independent pairs; K5 has none
         assert not count_check(complete_graph(5), detect_fully_regular(cycle_graph(5)))
+
+    def test_fails_on_a_graph_with_more_layers(self):
+        # P9 has independent sets of size 3 to 5; C5's profile stops at alpha = 2
+        assert not count_check(path_graph(9), detect_fully_regular(cycle_graph(5)))
 
 
 class TestClosedForm:
