@@ -11,7 +11,7 @@ everything against an independent oracle.
 ``_EXPORTS`` under the submodule that defines it, and the module
 ``__getattr__`` (PEP 562) imports that submodule the first time the name is
 looked up.  So a program pays only for the modules it uses: the CLI's
-``count`` never compiles the polynomial or regularity code, only the
+``count`` never compiles the ``polynomial`` or ``regular`` module, only the
 oracle's names (and ``verify``) load the oracle, and only the cross-check
 routes' names load ``crosscheck``.
 """
@@ -20,7 +20,10 @@ __version__ = "0.1.0"
 
 #: Public names by the submodule that defines them.
 _EXPORTS = {
-    "counting": ("SigmaResult", "eval_partial", "pr_good", "sigma"),
+    "counting": (
+        "OrderingPolynomial", "SigmaResult", "build_polynomial", "eval_at_minus_one",
+        "eval_partial", "pr_good", "sigma",
+    ),
     "crosscheck": (
         "PERMUTATION_SUM_MAX", "BTable", "a_value", "b_permutation_sum", "closed_neighborhood",
         "compute_b_table", "delta_b", "induced_subgraph", "is_independent", "pr_bad_via_mobius",
@@ -34,8 +37,8 @@ _EXPORTS = {
     "layers": ("Layer", "independence_number", "iter_layers"),
     "oracle": ("ORACLE_MAX_N", "bad_vertices", "brute_distribution", "brute_event", "brute_sigma"),
     "polynomial": (
-        "BadDistribution", "DeletionReport", "OrderingPolynomial", "bad_distribution",
-        "build_polynomial", "delete_decompose", "eval_at_minus_one", "eval_indicator",
+        "BadDistribution", "DeletionReport", "bad_distribution", "delete_decompose",
+        "eval_indicator",
     ),
     "randgraph": ("random_connected_graph",),
     "regular": (

@@ -17,10 +17,10 @@ This module imports only ``errors`` and ``graph`` at load time.  Each
 command's handler lives beside the engine module it runs, and
 ``_COMMANDS`` names it by module and function, so a process imports and
 compiles one handler, not eight, and ``-h`` imports none.  ``count`` and
-``eval`` load ``layers`` and ``counting`` and nothing else of the package,
-``regular`` loads ``layers`` and ``regular``, ``poly``, ``distribution``
-and ``delete`` add ``polynomial`` to ``count``'s, ``bench`` adds
-``randgraph`` to those, and only ``verify`` loads the oracle.  Only
+``eval`` load ``layers`` and ``counting`` and nothing else of the package;
+``bench`` adds ``randgraph`` to those; ``poly``, ``distribution`` and
+``delete`` add ``polynomial``; ``regular`` loads ``layers`` and
+``regular``; and only ``verify`` loads the oracle, with ``polynomial``.  Only
 ``delete`` and ``verify`` import ``fractions`` (and ``decimal``); the
 others print ratios from integers through ``counting._ratio_text``.  No
 command loads ``crosscheck``.

@@ -66,8 +66,7 @@ class BTable:
     """b-values of every independent set, grouped by cardinality.
 
     ``table[mask]`` is the exact Fraction b(mask); lookup of a set that is
-    not independent (or lies outside the table's universe) raises KeyError.
-    Immutable once built.
+    not independent raises KeyError.  Immutable once built.
     """
 
     def __init__(self, layers: tuple[dict[VertexSet, Fraction], ...]):
@@ -92,8 +91,8 @@ class BTable:
             yield from layer.items()
 
 
-def compute_b_table(g: Graph, universe: VertexSet | None = None) -> BTable:
-    """Materialize b(I) for every independent I (optionally within a universe).
+def compute_b_table(g: Graph) -> BTable:
+    """Materialize b(I) for every independent I.
 
     b(empty) = 1 and for nonempty I,
     b(I) = (1 / |N[I]|) * sum over v in I of b(I minus v).
@@ -101,7 +100,7 @@ def compute_b_table(g: Graph, universe: VertexSet | None = None) -> BTable:
     nfact = math.factorial(g.n)
     return BTable(tuple(
         {mask: Fraction(count, nfact) for mask, count in zip(layer.sets, layer.counts)}
-        for layer in iter_layers(g, universe)
+        for layer in iter_layers(g)
     ))
 
 

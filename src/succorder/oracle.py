@@ -162,8 +162,8 @@ def _cmd_verify(opts: dict, g: Graph) -> dict:
     """The CLI's ``verify`` command (see ``cli._COMMANDS``): one walk, 17 events."""
     import random
 
-    from .counting import eval_partial, pr_good, sigma
-    from .polynomial import bad_distribution, build_polynomial
+    from .counting import build_polynomial, eval_at_minus_one, eval_partial, pr_good
+    from .polynomial import bad_distribution
 
     _guard(g)
     rng = random.Random(opts["seed"])
@@ -173,11 +173,13 @@ def _cmd_verify(opts: dict, g: Graph) -> dict:
     oracle_dist = tuple(histograms[0])
     oracle_p = [Fraction(sum(counts), math.factorial(g.n)) for counts in histograms[1:]]
 
-    engine_sigma = sigma(g).sigma
+    # one pass over the whole graph: sigma is F(-1), as counting.sigma reads it
+    poly = build_polynomial(g)
+    engine_sigma = eval_at_minus_one(poly).sigma
     if engine_sigma != oracle_dist[0]:
         raise VerificationError(f"sigma: engine {engine_sigma} != oracle {oracle_dist[0]}")
 
-    engine_dist = bad_distribution(build_polynomial(g)).counts
+    engine_dist = bad_distribution(poly).counts
     if engine_dist != oracle_dist:
         raise VerificationError(f"distribution: engine {engine_dist} != oracle {oracle_dist}")
 

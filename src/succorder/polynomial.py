@@ -1,60 +1,31 @@
-"""The successive ordering polynomial and what it encodes.
+"""What the ordering polynomial encodes.
 
-P_G(x) collects the weights w(I) of independent sets by cardinality:
-P_G(x) = sum w(I) x^|I|.  Its integer companion F(x) = n! * P_G(x) carries
-the combinatorics: F(-1) = sigma(G), and rewriting F in powers of (x + 1)
-yields the full distribution of orderings by number of bad vertices.  The
-module also evaluates the multivariate refinement (one variable per
-vertex) at indicator points, and decomposes P_G under vertex deletion;
-the paper's Δb recursion for that deletion is a cross-check route, in
-``crosscheck.delta_b``.  The CLI handlers of ``poly``, ``distribution``
-and ``delete`` live here.  ``OrderingPolynomial`` stores F and derives P_G
-on demand, and ``poly`` and ``distribution`` print P_G from F through
-``_ratio_text``, so they load no ``fractions``; only the rational results
-of ``eval_indicator`` and ``delete_decompose`` import it.
-
-The multivariate polynomial is never materialized monomial by monomial;
-every evaluation of it that matters here reduces to a filtered signed sum
-over independent sets, and that is what is implemented.
+``counting`` builds F(x) = n! * P_G(x), where P_G(x) = sum of w(I) x^|I|
+collects the weights of independent sets by cardinality, and reads sigma(G)
+off it as F(-1).  This module holds what else F encodes: rewritten in powers
+of (x + 1), F gives the distribution of orderings by number of bad
+vertices; the multivariate refinement (one variable per vertex) at an
+indicator point gives Pr(every vertex of S good), by a route apart from
+``counting.pr_good``; and P_G decomposes under vertex deletion, while the
+paper's Δb recursion for that deletion is the cross-check route
+``crosscheck.delta_b``.  The multivariate polynomial is never materialized
+monomial by monomial: each evaluation of it reduces to a filtered signed
+sum over independent sets.  The CLI handlers of ``poly``,
+``distribution`` and ``delete`` live here; only the rational results of
+``eval_indicator`` and ``delete_decompose`` import ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
 
-# eval_partial is re-exported: perfbench traces polynomial.eval_partial
-from .counting import SigmaResult, _layer_weights, _ratio_text, eval_partial
+# perfbench traces polynomial.build_polynomial and polynomial.eval_partial;
+# eval_partial is imported only to keep that path
+from .counting import OrderingPolynomial, _polynomial, _ratio_text, build_polynomial
+from .counting import eval_at_minus_one, eval_partial
 from .errors import InternalCheckError, require_internal
 from .graph import Graph, Record, VertexSet, _parse_vertex_list, vertices_of
 from .layers import Layer, iter_layers
-
-
-class OrderingPolynomial(Record):
-    """Coefficients of F(x) = n! P_G(x), and of P_G(x) derived from them.
-
-    ``f_coeffs[j]`` counts pairs (ordering, independent j-subset of its bad
-    vertices), hence is a nonnegative integer; ``p_coeffs[j] = f_coeffs[j]
-    / n!`` is the total weight of independent sets of size j.  Trailing
-    zero coefficients are trimmed.
-    """
-
-    __slots__ = ("n", "f_coeffs")
-    n: int
-    f_coeffs: tuple[int, ...]
-
-    @property
-    def p_coeffs(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction
-
-        nfact = math.factorial(self.n)
-        return tuple(Fraction(c, nfact) for c in self.f_coeffs)
-
-    def f_at(self, x: int) -> int:
-        """Evaluate F at an integer point (Horner)."""
-        acc = 0
-        for c in reversed(self.f_coeffs):
-            acc = acc * x + c
-        return acc
 
 
 class BadDistribution(Record):
@@ -81,36 +52,6 @@ class DeletionReport(Record):
     p_gprime: OrderingPolynomial
     r_s: tuple[Fraction, ...]
     u_s: tuple[Fraction, ...]
-
-
-def build_polynomial(g: Graph) -> OrderingPolynomial:
-    """Assemble P_G and F from the layered weight sums."""
-    return _polynomial(g.n, _layer_weights(g))
-
-
-def _polynomial(n: int, layer_sums: list[int]) -> OrderingPolynomial:
-    """F, hence P_G, from the per-layer sums W_k of a(I) * n! * b(I).
-
-    F's coefficient at degree k is W_k / n; its integrality and
-    nonnegativity are asserted, and a failure would signal an arithmetic bug.
-    """
-    f: list[int] = []
-    for k, layer_sum in enumerate(layer_sums):
-        c, rem = divmod(layer_sum, n)
-        require_internal(rem == 0, f"F coefficient at degree {k} is not integral")
-        require_internal(c >= 0, f"F coefficient at degree {k} is negative")
-        f.append(c)
-    require_internal(f[0] == math.factorial(n), "constant coefficient of P_G must be 1")
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return OrderingPolynomial(n, tuple(f))
-
-
-def eval_at_minus_one(poly: OrderingPolynomial) -> SigmaResult:
-    """sigma(G) = F(-1): the count of orderings with no bad vertex."""
-    total = poly.f_at(-1)
-    require_internal(0 <= total <= math.factorial(poly.n), f"F(-1) = {total} outside [0, n!]")
-    return SigmaResult(poly.n, total)
 
 
 def bad_distribution(poly: OrderingPolynomial) -> BadDistribution:
@@ -255,14 +196,12 @@ def _cmd_poly(opts: dict, g: Graph) -> dict:
     """The CLI's ``poly`` and ``distribution`` commands (see ``cli._COMMANDS``)."""
     poly = build_polynomial(g)
     dist = bad_distribution(poly)
-    result = eval_at_minus_one(poly)
-    require_internal(result.sigma == dist.counts[0], "F(-1) differs from the zero-bad count")
     nfact = math.factorial(g.n)
     return {
         "p_coeffs": [_ratio_text(c, nfact) for c in poly.f_coeffs],
         "f_coeffs": [str(c) for c in poly.f_coeffs],
         "A": [str(c) for c in dist.counts],
-        "sigma": str(result.sigma),
+        "sigma": str(eval_at_minus_one(poly).sigma),
     }
 
 

@@ -14,7 +14,6 @@ import math
 import random
 import time
 
-from .errors import require_internal
 from .graph import Graph
 
 
@@ -57,17 +56,10 @@ def random_connected_graph(n: int, density: float, seed: int) -> Graph:
 def _cmd_bench(opts: dict, g: Graph) -> dict:
     """The CLI's ``bench`` command (see ``cli._COMMANDS``)."""
     from .counting import _ratio_text, sigma
-    from .polynomial import bad_distribution, build_polynomial, eval_at_minus_one
 
     start = time.perf_counter()
     count = sigma(g).sigma
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    poly = build_polynomial(g)
-    dist = bad_distribution(poly)
-    require_internal(
-        eval_at_minus_one(poly).sigma == count == dist.counts[0],
-        "count, polynomial value and zero-bad count disagree",
-    )
     return {
         "n": opts["n"],
         "density": opts["density"],

@@ -81,12 +81,16 @@ def count_check(g: Graph, profile: RegularityProfile) -> bool:
 def sigma_closed_form(profile: RegularityProfile) -> int:
     """Closed-form ordering count a_0! * sum_i prod_{j<=i} (-a_j)/(a_0 - a_j).
 
-    Defined for fully regular profiles; a_0 - a_j > 0 for j >= 1 because
-    a_j < n.  The result is asserted integral.
+    Defined for the profiles of fully regular graphs, which have a_0 > a_1
+    > ... > a_alpha = 0 (a maximum independent set leaves no vertex
+    outside); any other profile raises ValueError.  The result is asserted
+    integral.
     """
     from fractions import Fraction
 
     a = profile.a_seq
+    if not a or a[-1] or any(x <= y for x, y in zip(a, a[1:])):
+        raise ValueError(f"profile {a} is not a_0 > a_1 > ... > a_alpha = 0")
     total = term = Fraction(1)
     for a_j in a[1:]:
         term *= Fraction(-a_j, a[0] - a_j)

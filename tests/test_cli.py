@@ -208,7 +208,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "name, wrong, message",
         [
-            ("counting.sigma", lambda g: counting.SigmaResult(5, 1), "sigma: engine 1 != "),
+            ("counting.eval_at_minus_one", lambda poly: counting.SigmaResult(5, 1),
+             "sigma: engine 1 != "),
             ("polynomial.bad_distribution", lambda poly: BadDistribution((60, 0)),
              "distribution: engine (60, 0) != oracle "),
             ("counting.pr_good", lambda g, universe: Fraction(2), "Pr(G_U) for U="),
@@ -304,7 +305,7 @@ def imports_after_main(argv):
 
 
 class TestImportPath:
-    """Only verify loads the oracle, count and eval load no polynomial and
+    """Only verify loads the oracle, count, eval and bench load no polynomial and
     no other command's handler, every command but delete and verify loads
     no fractions, and no command loads numpy, an argument parser or the
     cross-check routes."""
@@ -345,6 +346,13 @@ class TestImportPath:
         proc = module_run("-m", "succorder", "count", c5chord_file)
         loaded = {name for _, name in importtime_tree(proc.stderr) if name.startswith("succorder")}
         engine = {f"succorder.{m}" for m in ("errors", "graph", "layers", "counting")}
+        assert loaded == {"succorder", "succorder.cli"} | engine
+
+    def test_bench_loads_only_the_counting_engine_and_the_generator(self):
+        # bench times sigma alone, so it loads no polynomial
+        proc = module_run("-m", "succorder", "bench", "--n", "8")
+        loaded = {name for _, name in importtime_tree(proc.stderr) if name.startswith("succorder")}
+        engine = {f"succorder.{m}" for m in ("errors", "graph", "layers", "counting", "randgraph")}
         assert loaded == {"succorder", "succorder.cli"} | engine
 
     def test_eval_loads_only_the_counting_engine(self, c5chord_file):
@@ -492,9 +500,9 @@ class TestExitCodeMapping:
         "edit, call, argv, message",
         [
             (lambda sums: [3 * sums[0], *sums[1:]], counting.sigma, ["count"],
-             "signed weight sum 5/2 outside [0, 1]"),
+             "constant coefficient of P_G must be 1"),
             (lambda sums: [sums[0] + 1, *sums[1:]], counting.sigma, ["count"],
-             "n! * sigma' = 301/5 is not an integer"),
+             "F coefficient at degree 0 is not integral"),
             (lambda sums: [3 * sums[0], *sums[1:]], lambda g: eval_partial(g, 0, 0b01101),
              ["eval", "--good", "0,2,3"], "signed weight sum 161/60 outside [0, 1]"),
         ],

@@ -11,7 +11,6 @@ from succorder import (
     a_value,
     b_permutation_sum,
     closed_neighborhood,
-    compute_b_table,
     eval_indicator,
     eval_partial,
     induced_subgraph,
@@ -212,7 +211,6 @@ class TestInducedSubgraph:
     "call",
     [
         pytest.param(lambda g, mask: list(iter_layers(g, mask)), id="iter_layers"),
-        compute_b_table,
         pr_good,
         open_neighborhood,
         closed_neighborhood,

@@ -259,6 +259,13 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
     passes.clear()
     eval_partial(g, mask_of([0]), mask_of([1, 2, 3]))
     assert passes == [mask_of([0, 2, 3])]
+    # each command makes one pass over the whole graph: sigma is read off F, and
+    # verify's other passes are its sampled events, over restricted universes
+    for argv in (["count", str(path)], ["poly", str(path)], ["distribution", str(path)],
+                 ["bench", "--n", "8"], ["verify", str(path)]):
+        passes.clear()
+        assert cli.main(argv) == 0
+        assert passes.count(None) == 1, argv
 
 
 def test_delete_decompose_builds_no_fraction_per_delta_b_entry(monkeypatch):

@@ -159,8 +159,10 @@ class TestEvalAtMinusOne:
         assert eval_at_minus_one(build_polynomial(graph_from_edges(1, []))).sigma == 1
 
     def test_agrees_with_direct_count(self):
+        # against the event core's signed sum over every vertex good, a second route
         for g in (cycle_graph(7), star_graph(5), complete_bipartite(2, 3), p2_plus_isolated()):
-            assert eval_at_minus_one(build_polynomial(g)).sigma == sigma(g).sigma
+            direct = pr_good(g, g.full_mask) * math.factorial(g.n)
+            assert eval_at_minus_one(build_polynomial(g)).sigma == direct == sigma(g).sigma
 
     def test_range_check_fires_on_corrupt_polynomial(self):
         poly = OrderingPolynomial(3, (12,))

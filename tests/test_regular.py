@@ -106,3 +106,9 @@ class TestClosedForm:
             assert count_check(g, profile)
             assert sigma_closed_form(profile) == sigma(g).sigma
         assert isinstance(detect_fully_regular(cycle_graph(6)), RegularityWitness)
+
+    @pytest.mark.parametrize("a_seq", [(), (3, 3), (3, 1)], ids=["empty", "flat", "nonzero-end"])
+    def test_rejects_a_profile_no_graph_has(self, a_seq):
+        # a fully regular profile falls strictly to a_alpha = 0
+        with pytest.raises(ValueError, match="is not a_0 > a_1 > ... > a_alpha = 0"):
+            sigma_closed_form(RegularityProfile(a_seq))
