@@ -21,7 +21,7 @@ compiles one handler, not eight, and ``-h`` imports none.  ``count`` and
 ``bench`` adds ``randgraph`` to those; ``poly``, ``distribution`` and
 ``delete`` add ``polynomial``; ``regular`` loads ``layers`` and
 ``regular``; and only ``verify`` loads the oracle, with ``polynomial``.  Only
-``delete`` and ``verify`` import ``fractions`` (and ``decimal``); the
+``delete`` imports ``fractions`` (and ``decimal``), for its R_S and U_S; the
 others print ratios from integers through ``counting._ratio_text``.  No
 command loads ``crosscheck``.
 

@@ -10,8 +10,8 @@ reaching it have k bad vertices so far.  Summed over all chains, the
 counts at P = V are the bad-vertex histogram of all n! orderings: σ is its
 k = 0 entry, and an event ("these vertices bad, those good") is the same
 walk with the steps that break it left out.  One walk serves any number of
-events, each in its own block of the integer a prefix carries, so
-``verify`` asks for the distribution and its 16 sampled events at once.
+events, each in its own block of the integer a prefix carries; it holds the
+size guard and checks every event, so each entry point here is one call of it.
 
 The walk takes O(n·2^n) steps and shares nothing with the engine: no
 independent sets and no b-recursion.  Counts are plain integers, so every
@@ -19,15 +19,14 @@ result is exact.  ``bad_vertices`` classifies a single ordering straight
 from the definition; the tests scan all n! orderings with it to check
 this walk.
 
-The CLI's ``verify`` handler, which compares the engine with this walk,
-lives here.
+The CLI's ``verify`` handler, which compares the engine's integers with
+this walk's, lives here.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .errors import VerificationError
 from .graph import Graph, VertexSet, vertices_of
@@ -54,11 +53,6 @@ def bad_vertices(g: Graph, ordering: Sequence[int]) -> VertexSet:
     return bad
 
 
-def _guard(g: Graph) -> None:
-    if g.n > ORACLE_MAX_N:
-        raise ValueError(f"oracle is limited to n <= {ORACLE_MAX_N}, got n = {g.n}")
-
-
 def _prefix_counts(g: Graph, events: Sequence[tuple[VertexSet, VertexSet]]) -> list[list[int]]:
     """Per event (bad_req, good_req): counts[k], orderings with k bad vertices that meet it.
 
@@ -72,15 +66,22 @@ def _prefix_counts(g: Graph, events: Sequence[tuple[VertexSet, VertexSet]]) -> l
     required-bad vertex in N(P) can only step in good, so the blocks of the
     events requiring it are cleared, and a prefix with no counts left is
     dropped.  Only the prefixes of two sizes are held at a time, as
-    {prefix mask: [N(P), counts]}.
+    {prefix mask: [N(P), counts]}.  A graph past ``ORACLE_MAX_N``, or an event
+    naming a foreign vertex or one both bad and good, raises ValueError.
     """
     n, full = g.n, g.full_mask
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"oracle is limited to n <= {ORACLE_MAX_N}, got n = {n}")
     w = math.factorial(n).bit_length()
     span = (n + 1) * w
     block = (1 << span) - 1
     ones = any_bad = any_good = 0
     always_good = full
     for e, (bad_req, good_req) in enumerate(events):
+        if (bad_req | good_req) & ~full:
+            raise ValueError("requirement set mentions vertices outside the graph")
+        if bad_req & good_req:
+            raise ValueError("bad and good requirement sets overlap")
         ones |= 1 << e * span  # a count of 1 in the k = 0 field of event e's block
         any_bad |= bad_req
         any_good |= good_req
@@ -133,13 +134,11 @@ def _prefix_counts(g: Graph, events: Sequence[tuple[VertexSet, VertexSet]]) -> l
 
 def brute_sigma(g: Graph) -> int:
     """Number of orderings whose bad-vertex set is empty."""
-    _guard(g)
     return _prefix_counts(g, [(0, g.full_mask)])[0][0]
 
 
 def brute_distribution(g: Graph) -> BadDistribution:
     """Histogram of orderings by bad-vertex count, k = 0..n."""
-    _guard(g)
     return BadDistribution(tuple(_prefix_counts(g, [(0, 0)])[0]))
 
 
@@ -149,12 +148,8 @@ def brute_event(g: Graph, bad_req: VertexSet, good_req: VertexSet) -> Fraction:
     Covers every event the engine computes: Pr(B_I) with good_req empty,
     Pr(G_U) with bad_req empty, and the mixed Pr(B_T ∩ G_S).
     """
-    _guard(g)
-    full = g.full_mask
-    if (bad_req | good_req) & ~full:
-        raise ValueError("requirement set mentions vertices outside the graph")
-    if bad_req & good_req:
-        raise ValueError("bad and good requirement sets overlap")
+    from fractions import Fraction
+
     return Fraction(sum(_prefix_counts(g, [(bad_req, good_req)])[0]), math.factorial(g.n))
 
 
@@ -162,16 +157,13 @@ def _cmd_verify(opts: dict, g: Graph) -> dict:
     """The CLI's ``verify`` command (see ``cli._COMMANDS``): one walk, 17 events."""
     import random
 
-    from .counting import build_polynomial, eval_at_minus_one, eval_partial, pr_good
+    from .counting import _event_sum, _ratio_text, build_polynomial, eval_at_minus_one
     from .polynomial import bad_distribution
 
-    _guard(g)
     rng = random.Random(opts["seed"])
-    universes = [rng.getrandbits(g.n) for _ in range(8)]
+    universes = [(0, rng.getrandbits(g.n)) for _ in range(8)]
     pairs = [(bad := rng.getrandbits(g.n), rng.getrandbits(g.n) & ~bad) for _ in range(8)]
-    histograms = _prefix_counts(g, [(0, 0), *((0, u) for u in universes), *pairs])
-    oracle_dist = tuple(histograms[0])
-    oracle_p = [Fraction(sum(counts), math.factorial(g.n)) for counts in histograms[1:]]
+    oracle_dist, *histograms = map(tuple, _prefix_counts(g, [(0, 0), *universes, *pairs]))
 
     # one pass over the whole graph: sigma is F(-1), as counting.sigma reads it
     poly = build_polynomial(g)
@@ -183,22 +175,20 @@ def _cmd_verify(opts: dict, g: Graph) -> dict:
     if engine_dist != oracle_dist:
         raise VerificationError(f"distribution: engine {engine_dist} != oracle {oracle_dist}")
 
-    for universe, oracle in zip(universes, oracle_p):
-        engine_p = pr_good(g, universe)
-        if engine_p != oracle:
+    # engine numerators are over n * n!, the walk's counts over n!
+    den = g.n * math.factorial(g.n)
+    for i, ((bad, good), counts) in enumerate(zip(universes + pairs, histograms)):
+        engine, oracle = _event_sum(g, bad, good), g.n * sum(counts)
+        if engine != oracle:
+            # by position: a sampled T can be empty
+            event = (f"Pr(G_U) for U={vertices_of(good)}" if i < len(universes)
+                     else f"Pr(B_T ∩ G_S) for T={vertices_of(bad)}, S={vertices_of(good)}")
             raise VerificationError(
-                f"Pr(G_U) for U={vertices_of(universe)}: engine {engine_p} != oracle {oracle}"
-            )
-    for (bad, good), oracle in zip(pairs, oracle_p[8:]):
-        engine_p = eval_partial(g, bad, good)
-        if engine_p != oracle:
-            raise VerificationError(
-                f"Pr(B_T ∩ G_S) for T={vertices_of(bad)}, S={vertices_of(good)}: "
-                f"engine {engine_p} != oracle {oracle}"
+                f"{event}: engine {_ratio_text(engine, den)} != oracle {_ratio_text(oracle, den)}"
             )
 
     return {
         "sigma": str(engine_sigma),
         "checks": {"sigma": "ok", "distribution": "ok", "events": "ok"},
-        "events_sampled": len(oracle_p),
+        "events_sampled": len(histograms),
     }

@@ -209,10 +209,11 @@ def _cmd_delete(opts: dict, g: Graph) -> dict:
     """The CLI's ``delete`` command (see ``cli._COMMANDS``)."""
     removed = _parse_vertex_list(g, opts["set"])
     report = delete_decompose(g, removed)
+    nfact, sub_nfact = math.factorial(g.n), math.factorial(report.p_gprime.n)
     return {
         "set": vertices_of(removed),
-        "p_g": [str(c) for c in report.p_g.p_coeffs],
-        "p_gprime": [str(c) for c in report.p_gprime.p_coeffs],
+        "p_g": [_ratio_text(c, nfact) for c in report.p_g.f_coeffs],
+        "p_gprime": [_ratio_text(c, sub_nfact) for c in report.p_gprime.f_coeffs],
         "r_s": [str(c) for c in report.r_s],
         "u_s": [str(c) for c in report.u_s],
     }

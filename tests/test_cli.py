@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import subprocess
@@ -177,6 +178,16 @@ class TestRegular:
         assert payload == {"fully_regular": True, "alpha": 2, "a": [5, 2, 0]}
 
 
+def wrong_on_call(call):
+    """An ``_event_sum`` whose numerator is 1 too large on its ``call``-th call."""
+    real, calls = counting._event_sum, itertools.count(1)
+
+    def wrong(g, bad, good):
+        return real(g, bad, good) + (1 if next(calls) == call else 0)
+
+    return wrong
+
+
 class TestVerify:
     def test_passes_on_c5_chord(self, c5chord_file):
         payload = payload_of(run_cli("verify", c5chord_file, "--json", check=True))
@@ -196,6 +207,16 @@ class TestVerify:
         assert proc.returncode == 1
         assert "limited" in proc.stderr
 
+    def test_the_walk_refuses_before_the_engine_pass(self, tmp_path, monkeypatch, capsys):
+        def no_pass(*args):
+            raise AssertionError("the engine's pass ran")
+
+        monkeypatch.setattr(counting, "iter_layers", no_pass)
+        path = tmp_path / "p11.txt"
+        path.write_text("11 10\n" + "".join(f"{v} {v + 1}\n" for v in range(10)))
+        assert cli.main(["verify", str(path)]) == 1
+        assert "error: oracle is limited to n <= 10, got n = 11\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("limit", [ORACLE_MAX_N], ids=["oracle-max-n"])
     def test_limit_admits_n_equal_to_it(self, tmp_path, capsys, limit):
         # a path on n = limit vertices is verified; one on limit + 1 is refused
@@ -208,21 +229,25 @@ class TestVerify:
     @pytest.mark.parametrize(
         "name, wrong, message",
         [
-            ("counting.eval_at_minus_one", lambda poly: counting.SigmaResult(5, 1),
-             "sigma: engine 1 != "),
+            ("counting.eval_at_minus_one", lambda poly: counting.SigmaResult(3, 1),
+             "sigma: engine 1 != oracle 4\n"),
             ("polynomial.bad_distribution", lambda poly: BadDistribution((60, 0)),
-             "distribution: engine (60, 0) != oracle "),
-            ("counting.pr_good", lambda g, universe: Fraction(2), "Pr(G_U) for U="),
-            ("counting.eval_partial", lambda g, bad, good: Fraction(2), "Pr(B_T ∩ G_S) for T="),
+             "distribution: engine (60, 0) != oracle (4, 2, 0, 0)\n"),
+            ("counting._event_sum", wrong_on_call(1),
+             "Pr(G_U) for U=[1, 2]: engine 8/9 != oracle 5/6\n"),
+            ("counting._event_sum", wrong_on_call(9),
+             "Pr(B_T ∩ G_S) for T=[2], S=[0, 1]: engine 2/9 != oracle 1/6\n"),
         ],
         ids=["sigma", "distribution", "universe", "mixed"],
     )
     def test_wrong_engine_answer_maps_to_3(
-        self, monkeypatch, capsys, c5chord_file, name, wrong, message
+        self, monkeypatch, capsys, p3_file, name, wrong, message
     ):
-        # the 8 universes go to pr_good and the 8 mixed events to eval_partial, by position
+        # the 8 universes come first and the 8 mixed events after them, by position;
+        # P_3's distribution (4, 2, 0, 0) tells its sigma apart from A_1, and each
+        # whole message pins both sides' ratios over n * n! = 18
         monkeypatch.setattr(f"succorder.{name}", wrong)
-        assert cli.main(["verify", c5chord_file]) == 3
+        assert cli.main(["verify", p3_file]) == 3
         assert f"verification mismatch: {message}" in capsys.readouterr().err
 
     def test_one_prefix_walk_answers_every_check(self, monkeypatch, capsys, c5chord_file):
@@ -306,8 +331,8 @@ def imports_after_main(argv):
 
 class TestImportPath:
     """Only verify loads the oracle, count, eval and bench load no polynomial and
-    no other command's handler, every command but delete and verify loads
-    no fractions, and no command loads numpy, an argument parser or the
+    no other command's handler, every command but delete loads no
+    fractions, and no command loads numpy, an argument parser or the
     cross-check routes."""
 
     @pytest.mark.parametrize(
@@ -371,6 +396,7 @@ class TestImportPath:
             ["poly", "{path}"],
             ["distribution", "{path}"],
             ["bench", "--n", "8"],
+            ["verify", "{path}"],
         ],
     )
     def test_integer_commands_load_no_fractions(self, argv, c5chord_file):

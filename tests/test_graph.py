@@ -207,10 +207,14 @@ class TestInducedSubgraph:
             induced_subgraph(g, 1 << 5)
 
 
+def layers_within(g, universe):
+    return list(iter_layers(g, universe))
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda g, mask: list(iter_layers(g, mask)), id="iter_layers"),
+        pytest.param(layers_within, id="iter_layers"),
         pr_good,
         open_neighborhood,
         closed_neighborhood,
@@ -225,7 +229,10 @@ class TestInducedSubgraph:
     ids=lambda call: call.__name__,
 )
 def test_vertex_mask_outside_the_graph_is_a_value_error(call):
-    with pytest.raises(ValueError, match="mentions vertices outside the graph"):
+    # the pass names its universe; every other call names a vertex set, so a
+    # foreign event reaches the event core's own check, not the pass's
+    subject = "universe" if call is layers_within else "vertex set"
+    with pytest.raises(ValueError, match=f"^{subject} mentions vertices outside the graph$"):
         call(c5_chord(), 1 << 7)
 
 

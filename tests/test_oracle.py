@@ -69,6 +69,19 @@ class TestBruteSigma:
         with pytest.raises(ValueError, match="limited"):
             brute_sigma(graph_from_edges(11, [(v, v + 1) for v in range(10)]))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            brute_distribution,
+            pytest.param(lambda g: brute_event(g, 0, 1), id="brute_event"),
+            pytest.param(lambda g: _prefix_counts(g, []), id="_prefix_counts"),
+        ],
+        ids=lambda call: call.__name__,
+    )
+    def test_every_entry_point_has_the_walks_size_guard(self, call):
+        with pytest.raises(ValueError, match="^oracle is limited to n <= 10, got n = 11$"):
+            call(graph_from_edges(11, [(v, v + 1) for v in range(10)]))
+
 
 class TestBruteDistribution:
     def test_p3(self):
@@ -122,6 +135,25 @@ class TestBruteEvent:
     def test_foreign_vertices_rejected(self):
         with pytest.raises(ValueError):
             brute_event(path_graph(3), 1 << 4, 0)
+
+    @pytest.mark.parametrize(
+        "bad_req, good_req, message",
+        [
+            (1 << 4, 0, "requirement set mentions vertices outside the graph"),
+            (0, 1 << 3, "requirement set mentions vertices outside the graph"),
+            (mask_of([0]), mask_of([0, 2]), "bad and good requirement sets overlap"),
+        ],
+        ids=["foreign-bad", "foreign-good", "overlap"],
+    )
+    def test_the_walk_checks_every_event_it_is_given(self, bad_req, good_req, message):
+        # the walk's own check, so a walk over many events checks each one
+        g = path_graph(3)
+        for call in (
+            lambda: brute_event(g, bad_req, good_req),
+            lambda: _prefix_counts(g, [(0, 0), (bad_req, good_req)]),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
     def test_monotone_in_requirements(self):
         g = cycle_graph(5)

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,14 +14,17 @@ from succorder import (
     a_value,
     b_permutation_sum,
     brute_sigma,
+    build_polynomial,
     closed_neighborhood,
     compute_b_table,
+    eval_partial,
     is_independent,
     iter_layers,
     iter_vertices,
     open_neighborhood,
     parse_edge_list,
     pr_bad_via_mobius,
+    random_connected_graph,
     sigma,
     weight,
 )
@@ -120,6 +125,36 @@ def test_sigma_matches_brute_force(g):
     assert 0 <= result.sigma_prime <= 1
     assert result.sigma == brute_sigma(g)
     assert result.sigma_prime * math.factorial(g.n) == result.sigma
+
+
+def relabel(g, perm):
+    """π(G) for the permutation π: v -> perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def relabel_mask(perm, mask):
+    return sum(1 << perm[v] for v in iter_vertices(mask))
+
+
+@pytest.mark.parametrize("n", [16, 20, 24, 28])
+def test_results_do_not_depend_on_vertex_labels(n):
+    # past the oracle's and the permutation scan's reach, and nearly every
+    # intermediate of the pass depends on the labels: which sets extend
+    # which, the block order, each child's parent and the order of the sums
+    rng = random.Random(n)
+    g = random_connected_graph(n, 0.15, seed=n)
+    perm = rng.sample(range(n), n)
+    h = relabel(g, perm)
+    assert h != g
+    assert build_polynomial(g) == build_polynomial(h)
+    # an independent T of two vertices, and S drawn from the rest
+    t = rng.randrange(n)
+    u = rng.choice([v for v in range(n) if v != t and not g.adj[t] >> v & 1])
+    bad = 1 << t | 1 << u
+    good = rng.getrandbits(n) & ~bad
+    p = eval_partial(g, bad, good)
+    assert p > 0
+    assert eval_partial(h, relabel_mask(perm, bad), relabel_mask(perm, good)) == p
 
 
 @given(graphs(max_n=8))
