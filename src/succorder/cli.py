@@ -20,10 +20,10 @@ compiles one handler, not eight, and ``-h`` imports none.  ``count`` and
 ``eval`` load ``layers`` and ``counting`` and nothing else of the package;
 ``bench`` adds ``randgraph`` to those; ``poly``, ``distribution`` and
 ``delete`` add ``polynomial``; ``regular`` loads ``layers`` and
-``regular``; and only ``verify`` loads the oracle, with ``polynomial``.  Only
-``delete`` imports ``fractions`` (and ``decimal``), for its R_S and U_S; the
-others print ratios from integers through ``counting._ratio_text``.  No
-command loads ``crosscheck``.
+``regular``; and only ``verify`` loads the oracle, with ``polynomial``.  No
+command imports ``fractions`` (nor the ``decimal`` it pulls in): each prints
+its ratios from integers through ``counting._ratio_text``.  No command loads
+``crosscheck``.
 
 The stderr ``elapsed: <x> ms`` line times only what follows argument
 parsing: reading the input, the handler's engine imports (about 4 ms for

@@ -5,8 +5,8 @@ closed neighbourhood of an independent set I, depends only on |I|.  For
 such graphs the layer sizes and the successive-ordering count collapse to
 closed forms in the constants a_0..a_alpha, which this module evaluates
 and cross-validates against the general engine.  The CLI's ``regular``
-handler lives here; it never builds a Fraction, and only
-``sigma_closed_form`` imports ``fractions``.
+handler lives here; the module computes in integers throughout and
+imports no ``fractions``.
 """
 
 from __future__ import annotations
@@ -83,21 +83,20 @@ def sigma_closed_form(profile: RegularityProfile) -> int:
 
     Defined for the profiles of fully regular graphs, which have a_0 > a_1
     > ... > a_alpha = 0 (a maximum independent set leaves no vertex
-    outside); any other profile raises ValueError.  The result is asserted
-    integral.
+    outside); any other profile raises ValueError.  Each term is a_0! times
+    its product, reached by exact integer steps: the a_0 - a_j are distinct
+    integers in 1..a_0, so their running product divides a_0!.  Each step's
+    remainder is asserted 0.
     """
-    from fractions import Fraction
-
     a = profile.a_seq
     if not a or a[-1] or any(x <= y for x, y in zip(a, a[1:])):
         raise ValueError(f"profile {a} is not a_0 > a_1 > ... > a_alpha = 0")
-    total = term = Fraction(1)
+    total = term = math.factorial(a[0])
     for a_j in a[1:]:
-        term *= Fraction(-a_j, a[0] - a_j)
+        term, rem = divmod(-a_j * term, a[0] - a_j)
+        require_internal(rem == 0, f"closed-form term at a_j = {a_j} is not an integer")
         total += term
-    scaled = math.factorial(a[0]) * total
-    require_internal(scaled.denominator == 1, f"closed form {scaled} is not an integer")
-    return scaled.numerator
+    return total
 
 
 def _cmd_regular(opts: dict, g: Graph) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import signal
 from collections import Counter
 
 import pytest
@@ -84,6 +85,26 @@ def random_corpus():
             density = 0.05 + 0.05 * (i % 9)
             graphs.append(random_connected_graph(n, density, seed=1000 * n + i))
     return graphs
+
+
+#: Seconds a test body may run before it fails with TimeoutError, about 13x
+#: the slowest test (sigma's heap-peak test, 3.7-4.6 s on a 2-vCPU Xeon), so
+#: that a loop that never ends fails its test instead of hanging the run.
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    def expire(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}

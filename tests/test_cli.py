@@ -331,9 +331,8 @@ def imports_after_main(argv):
 
 class TestImportPath:
     """Only verify loads the oracle, count, eval and bench load no polynomial and
-    no other command's handler, every command but delete loads no
-    fractions, and no command loads numpy, an argument parser or the
-    cross-check routes."""
+    no other command's handler, and no command loads fractions, numpy, an
+    argument parser or the cross-check routes."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -397,6 +396,7 @@ class TestImportPath:
             ["distribution", "{path}"],
             ["bench", "--n", "8"],
             ["verify", "{path}"],
+            ["delete", "{path}", "--set", "4"],
         ],
     )
     def test_integer_commands_load_no_fractions(self, argv, c5chord_file):

@@ -268,9 +268,9 @@ def test_each_feature_enumerates_the_sets_once(monkeypatch, tmp_path):
         assert passes.count(None) == 1, argv
 
 
-def test_delete_decompose_builds_no_fraction_per_delta_b_entry(monkeypatch):
-    # Δb is crosscheck.delta_b's and P_G, P_G' are stored as integers, so the
-    # deletion builds only the per-degree Fractions of R_S and U_S, never one per set
+def test_delete_decompose_builds_no_fraction(monkeypatch):
+    # Δb is crosscheck.delta_b's, and P_G, P_G', n! R_S and n! U_S are stored
+    # as integers, so the deletion builds no Fraction at all
     built = []
     new = Fraction.__new__
 
@@ -279,10 +279,9 @@ def test_delete_decompose_builds_no_fraction_per_delta_b_entry(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    g = random_connected_graph(14, 0.2, seed=5)
-    report = delete_decompose(g, mask_of([3]))
-    layers = len(report.p_g.f_coeffs)
-    assert len(built) <= 8 * layers
+    report = delete_decompose(random_connected_graph(14, 0.2, seed=5), mask_of([3]))
+    assert built == []
+    assert all(type(c) is int for c in report.r_s_numer + report.u_s_numer)
 
 
 def test_delete_decompose_heap_peak_is_that_of_sigma():

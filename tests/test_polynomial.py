@@ -396,6 +396,16 @@ class TestDeleteDecompose:
         with pytest.raises(InternalCheckError, match="deletion identity fails at degree 0"):
             polynomial.delete_decompose(cycle_graph(6), mask_of([0]))
 
+    def test_u_s_check_fires_on_a_unit_moved_from_survivors_to_u_s(self, monkeypatch):
+        # a source mutant that moves one unit of each survivor's G term into
+        # the U_S sum: W_k and F are unchanged, so the identity and F's checks
+        # pass, but the U_S sum at degree 0, that of the empty set, is 1
+        line = "                old_w += term\n"
+        mutant = "                old_w += term - 1\n                meets += 1\n"
+        deletion_mutant(monkeypatch, polynomial, "delete_decompose", line, mutant)
+        with pytest.raises(InternalCheckError, match=r"^n! U_S at degree 0 is not an integer$"):
+            polynomial.delete_decompose(cycle_graph(6), mask_of([0]))
+
     def test_outside_count_check_fires_on_a_wrong_subgraph(self, monkeypatch):
         # a source mutant that leaves S in G''s rows: N_{G'}[{1}] becomes {0, 1, 2}
         deletion_mutant(monkeypatch, crosscheck, "delta_b", " & ~removed for v", " for v")

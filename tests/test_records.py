@@ -32,8 +32,8 @@ CASES = {
     RegularityProfile: (((5, 2, 0),), ((4, 1, 0),)),
     RegularityWitness: ((1, 0b1, 2, 0b10, 1), (1, 0b1, 2, 0b100, 1)),
     DeletionReport: (
-        (0b1, None, None, (F(0),), (F(1, 2),)),
-        (0b1, None, None, (F(0),), (F(1, 3),)),
+        (0b1, OrderingPolynomial(2, (2, 1)), OrderingPolynomial(1, (1,)), (0,), (1, 0)),
+        (0b1, OrderingPolynomial(2, (2, 1)), OrderingPolynomial(1, (1,)), (0,), (2, 0)),
     ),
 }
 FIELDS = {
@@ -44,7 +44,7 @@ FIELDS = {
     BadDistribution: ("counts",),
     RegularityProfile: ("a_seq",),
     RegularityWitness: ("size", "first_set", "first_value", "other_set", "other_value"),
-    DeletionReport: ("removed", "p_g", "p_gprime", "r_s", "u_s"),
+    DeletionReport: ("removed", "p_g", "p_gprime", "r_s_numer", "u_s_numer"),
 }
 RECORDS = pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 
@@ -92,10 +92,15 @@ def test_same_fields_in_another_record_type_differ():
 
 
 def test_derived_views_follow_the_stored_fields():
-    # sigma_prime, p_coeffs and alpha are computed, so no record can disagree with them
+    # sigma_prime, p_coeffs, alpha, r_s and u_s are computed, so no record can disagree with them
     assert SigmaResult(5, 60).sigma_prime == F(1, 2)
     assert OrderingPolynomial(3, (6, 2)).p_coeffs == (F(1), F(1, 3))
     assert RegularityProfile((5, 2, 0)).alpha == 2
+    report = DeletionReport(*CASES[DeletionReport][0])
+    assert report.r_s == (F(0),)
+    assert report.u_s == (F(1, 2), F(0))
+    with pytest.raises(AttributeError):
+        report.u_s = (F(1),)
     with pytest.raises(TypeError):
         SigmaResult(5, 61, F(1, 2))
     with pytest.raises(AttributeError):
@@ -152,6 +157,7 @@ def test_deletion_report_repr_shows_its_five_fields():
     report = delete_decompose(c5_chord(), mask_of([4]))
     text = repr(report)
     assert text.startswith("DeletionReport(removed=16, p_g=OrderingPolynomial(n=5, ")
+    assert text.endswith(f"r_s_numer={report.r_s_numer!r}, u_s_numer={report.u_s_numer!r})")
     fields = ", ".join(f"{name}={getattr(report, name)!r}" for name in FIELDS[DeletionReport])
     assert text == f"DeletionReport({fields})"
     assert repr(SigmaResult(5, 60)) == "SigmaResult(n=5, sigma=60)"
