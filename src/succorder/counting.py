@@ -14,11 +14,11 @@ polynomial F(x) = n! * sum of w(I) x^|I|, each coefficient asserted to be a
 nonnegative integer and F(0) = n!.  The count sigma(G) is F(-1), asserted
 in [0, n!]; because the alternating sum cancels heavily, these checks
 double as a free correctness check.  Every event probability ("these
-vertices bad, those good") is one more signed sum, ``_event_sum``, a
-numerator over n * n! asserted in [0, n * n!]; ``pr_good`` and
-``eval_partial`` wrap it.  ``fractions`` is imported only where a Fraction
-is built, and the CLI's ``count`` and ``eval`` handlers, which live here,
-print their ratios through ``_ratio_text``.
+vertices bad, those good") is one more signed sum, ``_event_sum``, which
+``pr_good`` and ``eval_partial`` wrap: a count of orderings over n!, checked
+per degree and in [0, n!] as F and F(-1) are.  ``fractions`` is imported
+only where a Fraction is built, and the CLI's ``count`` and ``eval``
+handlers, which live here, print their ratios through ``_ratio_text``.
 
 Every result runs on one pass of ``layers.iter_layers``, which carries, per
 layer, each set's closed neighbourhood N[I] and count B(I), and the layer's
@@ -119,32 +119,40 @@ class OrderingPolynomial(Record):
 
 def build_polynomial(g: Graph) -> OrderingPolynomial:
     """Assemble P_G and F from the layered weight sums."""
-    return _polynomial(g.n, _layer_weights(g))
+    return _polynomial(g.n, _degree_counts(g.n, _layer_weights(g)))
 
 
-def _polynomial(n: int, layer_sums: list[int]) -> OrderingPolynomial:
-    """F, hence P_G, from the per-layer sums W_k of a(I) * n! * b(I).
-
-    F's coefficient at degree k is W_k / n; its integrality and
-    nonnegativity are asserted, and a failure would signal an arithmetic bug.
-    """
+def _degree_counts(n: int, layer_sums: list[int]) -> list[int]:
+    """Per degree k, W_k / n for the per-layer sums W_k of a(I) * n! * b(I): a count of
+    orderings (over the whole graph, F's coefficient), asserted a nonnegative integer."""
     f: list[int] = []
     for k, layer_sum in enumerate(layer_sums):
         c, rem = divmod(layer_sum, n)
         require_internal(rem == 0, f"F coefficient at degree {k} is not integral")
         require_internal(c >= 0, f"F coefficient at degree {k} is negative")
         f.append(c)
+    return f
+
+
+def _polynomial(n: int, f: list[int]) -> OrderingPolynomial:
+    """F, hence P_G, from its per-degree counts ``f``, left untrimmed; F(0) = n! is asserted."""
     require_internal(f[0] == math.factorial(n), "constant coefficient of P_G must be 1")
     while len(f) > 1 and f[-1] == 0:
-        f.pop()
+        f = f[:-1]
     return OrderingPolynomial(n, tuple(f))
+
+
+def _signed_count(n: int, counts: list[int]) -> int:
+    """c_0 - c_1 + c_2 - ..., a count of orderings asserted in [0, n!]."""
+    total, nfact = sum(counts[::2]) - sum(counts[1::2]), math.factorial(n)
+    if not 0 <= total <= nfact:
+        raise InternalCheckError(f"signed weight sum {_ratio_text(total, nfact)} outside [0, 1]")
+    return total
 
 
 def eval_at_minus_one(poly: OrderingPolynomial) -> SigmaResult:
     """sigma(G) = F(-1): the count of orderings with no bad vertex."""
-    total = sum(-c if k & 1 else c for k, c in enumerate(poly.f_coeffs))
-    require_internal(0 <= total <= math.factorial(poly.n), f"F(-1) = {total} outside [0, n!]")
-    return SigmaResult(poly.n, total)
+    return SigmaResult(poly.n, _signed_count(poly.n, poly.f_coeffs))
 
 
 def sigma(g: Graph) -> SigmaResult:
@@ -159,52 +167,46 @@ def sigma(g: Graph) -> SigmaResult:
 
 
 def _event_sum(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> int:
-    """Pr(every vertex of T = ``bad_set`` bad and every vertex of S minus T
-    good, with S = ``good_set``), as a numerator over n * n!.
+    """The number of orderings with every vertex of T = ``bad_set`` bad and
+    every vertex of S minus T good, S = ``good_set``: n! times the sum over
+    independent I with T ⊆ I ⊆ S∪T of (-1)^|I\\T| w(I).
 
-    Equals the sum over independent I with T ⊆ I ⊆ S∪T of (-1)^|I\\T| w(I).
     When T is not independent there are no independent supersets and the
-    value is 0.  Every independent superset of T avoids T's open
+    count is 0.  Every independent superset of T avoids T's open
     neighbourhood N(T), and b(I) does not depend on the universe, so the
-    pass enumerates only (S∪T) minus N(T).  Accumulation runs layer by
-    layer, mask-ascending, entirely in integers.  The sum is a probability,
-    so a numerator outside [0, n * n!] raises InternalCheckError.
+    pass enumerates only (S∪T) minus N(T).  Like F(-1), the count is
+    asserted per degree and in [0, n!] (InternalCheckError).
     """
     if (bad_set | good_set) & ~g.full_mask:
         raise ValueError("vertex set mentions vertices outside the graph")
     outside = open_neighborhood(g, bad_set)
     if bad_set & outside:
         return 0
-    tsize = bad_set.bit_count()
-    numer = 0
-    for k, acc in enumerate(_layer_weights(g, (bad_set | good_set) & ~outside, bad_set)):
-        numer += -acc if (k - tsize) & 1 else acc
-    den = g.n * math.factorial(g.n)
-    if not 0 <= numer <= den:
-        raise InternalCheckError(f"signed weight sum {_ratio_text(numer, den)} outside [0, 1]")
-    return numer
+    sums = _layer_weights(g, (bad_set | good_set) & ~outside, bad_set)
+    return _signed_count(g.n, _degree_counts(g.n, sums)[bad_set.bit_count():])
 
 
 def pr_good(g: Graph, universe: VertexSet) -> Fraction:
     """Probability that every vertex of ``universe`` is good.
 
     A vertex is good when it is first or some neighbour precedes it.  Equals
-    the signed sum of w(I) over independent I contained in ``universe``.
+    the signed sum of w(I) over independent I inside ``universe``, a count
+    over n! asserted per degree and in [0, n!] (see ``_event_sum``).
     """
     from fractions import Fraction
 
-    return Fraction(_event_sum(g, 0, universe), g.n * math.factorial(g.n))
+    return Fraction(_event_sum(g, 0, universe), math.factorial(g.n))
 
 
 def eval_partial(g: Graph, bad_set: VertexSet, good_set: VertexSet) -> Fraction:
     """Partial derivatives in the T variables, evaluated at -1_S.
 
-    Equals Pr(every vertex of T bad and every vertex of S\\T good), with
-    T = ``bad_set`` and S = ``good_set`` (see ``_event_sum``).
+    Equals Pr(every vertex of T bad and every vertex of S\\T good), T =
+    ``bad_set``, S = ``good_set``: a count over n! (see ``_event_sum``).
     """
     from fractions import Fraction
 
-    return Fraction(_event_sum(g, bad_set, good_set), g.n * math.factorial(g.n))
+    return Fraction(_event_sum(g, bad_set, good_set), math.factorial(g.n))
 
 
 def _cmd_count(opts: dict, g: Graph) -> dict:
@@ -220,5 +222,5 @@ def _cmd_eval(opts: dict, g: Graph) -> dict:
     return {
         "good": vertices_of(good & ~bad),
         "bad": vertices_of(bad),
-        "probability": _ratio_text(_event_sum(g, bad, good), g.n * math.factorial(g.n)),
+        "probability": _ratio_text(_event_sum(g, bad, good), math.factorial(g.n)),
     }

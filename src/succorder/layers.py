@@ -24,11 +24,12 @@ B(I minus v), with B(empty) = n!.  A child's sum starts from its generating
 parent's count.  Each layer carries its weight W_k = sum of a(I) B(I), with
 a(I) = n - |N[I]|.  B(I) is taken by floor division; n sum B - W_k, which is
 sum |N[I]| B(I), must equal the sum of the child sums, and differs exactly
-when a division left a remainder.  On a pass over a sealed universe U, one
-that no edge leaves (the whole graph is one), every J in layer k lies in
-|U| - |N[J]| = a(J) - (n - |U|) sets of layer k + 1, so those child sums add
-up to W_k - (n - |U|) sum B(J); a child lost or doubled fails this.  Other
-universes have no such count and skip it.  Either check raises
+when a division left a remainder.  On a pass over any universe U, every J
+in layer k lies in |U minus N[J]| sets of layer k + 1, so those child sums
+add up to the sum of |U minus N[J]| B(J); a child lost or doubled fails
+this.  On a sealed universe, one that no edge leaves (the whole graph is
+one), |U minus N[J]| = a(J) - (n - |U|), and the sum is W_k - (n - |U|)
+sum B(J) without a look at the sets.  Either check raises
 InternalCheckError.
 """
 
@@ -74,9 +75,8 @@ def iter_layers(g: Graph, universe: VertexSet | None = None) -> Iterator[Layer]:
     the top down as the next layer is built.  A yielded layer is complete
     and never mutated, but a caller that keeps it keeps its memory, so the
     hot callers let go of each layer before asking for the next.  Stops
-    after the last nonempty layer.  When no edge leaves ``universe``, each
-    layer's child sums are checked against the layer below, as on the whole
-    graph.
+    after the last nonempty layer.  On every pass, each layer's child sums
+    are checked against the layer below.
     """
     if universe is None:
         universe = g.full_mask
@@ -94,13 +94,16 @@ def iter_layers(g: Graph, universe: VertexSet | None = None) -> Iterator[Layer]:
     blocks = [([0], [0], [total])] + [_EMPTY] * len(vertices)
     k = 0
     while any(sets for sets, _, _ in blocks):
-        yield Layer(k, *_columns(blocks), weight)
-        parent_sums = weight - outside * total
+        layer = Layer(k, *_columns(blocks), weight)
+        parent_sums = weight - outside * total if sealed else sum(
+            (universe & ~nbhd).bit_count() * count for nbhd, count in zip(layer.nbhds, layer.counts))
+        yield layer
+        del layer  # let go of it before the next layer is built
         child_sums, total, weight = _children(blocks, vertices, closed, n)
         k += 1
         if n * total - weight != child_sums:
             raise InternalCheckError(f"layer {k}: a count is not its child sum over |N[I]|")
-        if sealed and child_sums != parent_sums:
+        if child_sums != parent_sums:
             raise InternalCheckError(f"layer {k}: child sums differ from layer {k - 1}'s weight")
 
 

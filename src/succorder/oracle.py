@@ -154,7 +154,7 @@ def brute_event(g: Graph, bad_req: VertexSet, good_req: VertexSet) -> Fraction:
 
 
 def _cmd_verify(opts: dict, g: Graph) -> dict:
-    """The CLI's ``verify`` command (see ``cli._COMMANDS``): one walk, 17 events."""
+    """The CLI's ``verify`` (see ``cli._COMMANDS``): one walk, 17 events, compared as counts."""
     import random
 
     from .counting import _event_sum, _ratio_text, build_polynomial, eval_at_minus_one
@@ -175,16 +175,15 @@ def _cmd_verify(opts: dict, g: Graph) -> dict:
     if engine_dist != oracle_dist:
         raise VerificationError(f"distribution: engine {engine_dist} != oracle {oracle_dist}")
 
-    # engine numerators are over n * n!, the walk's counts over n!
-    den = g.n * math.factorial(g.n)
+    nfact = math.factorial(g.n)
     for i, ((bad, good), counts) in enumerate(zip(universes + pairs, histograms)):
-        engine, oracle = _event_sum(g, bad, good), g.n * sum(counts)
+        engine, oracle = _event_sum(g, bad, good), sum(counts)
         if engine != oracle:
             # by position: a sampled T can be empty
             event = (f"Pr(G_U) for U={vertices_of(good)}" if i < len(universes)
                      else f"Pr(B_T ∩ G_S) for T={vertices_of(bad)}, S={vertices_of(good)}")
             raise VerificationError(
-                f"{event}: engine {_ratio_text(engine, den)} != oracle {_ratio_text(oracle, den)}"
+                f"{event}: engine {_ratio_text(engine, nfact)} != oracle {_ratio_text(oracle, nfact)}"
             )
 
     return {

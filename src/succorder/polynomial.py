@@ -23,7 +23,7 @@ from itertools import zip_longest
 
 # perfbench traces polynomial.build_polynomial and polynomial.eval_partial;
 # eval_partial is imported only to keep that path
-from .counting import OrderingPolynomial, _polynomial, _ratio_text, build_polynomial
+from .counting import OrderingPolynomial, _degree_counts, _polynomial, _ratio_text, build_polynomial
 from .counting import eval_at_minus_one, eval_partial
 from .errors import require_internal
 from .graph import Graph, Record, VertexSet, _parse_vertex_list, vertices_of
@@ -139,9 +139,8 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
       (e) G's layer weight W_k is the sum of its per-set terms a_G(I) B_G(I);
       (l) n! U_S at every degree is an integer, its sum dividing by n;
       (f) G''s weight at every degree divides exactly by n!/n'!;
-      (g) ``_polynomial``'s checks on P_G and P_{G'};
-      (i) G''s pass runs its own checks, exactness and, on its sealed
-          universe, completeness;
+      (g) ``_degree_counts``'s and ``_polynomial``'s checks on P_G and P_{G'};
+      (i) G''s pass runs its own checks, exactness and completeness;
       (j) after G''s pass, one comparison: G''s layer k has as many sets as
           G has survivors of size k, with the same mask sum, at every k.
     The paper's triangular recursion on Δb = b_{G-S} - b_G, and its checks
@@ -187,10 +186,10 @@ def delete_decompose(g: Graph, removed: VertexSet) -> DeletionReport:
     kept = (summary for summary in survivors if summary[0])
     for k, (mine, theirs) in enumerate(zip_longest(kept, sub_layers)):
         require_internal(mine == theirs, f"G' layer {k} differs from G's survivors of size {k}")
-    p_g, p_gprime = _polynomial(n, g_sums), _polynomial(sub_n, sub_sums)
+    f, sub_f = _degree_counts(n, g_sums), _degree_counts(sub_n, sub_sums)
     # n! R_S = n! P_{G'} - n! P_G + n! U_S, with n! P_{G'} = (n!/n'!) F' and n! P_G = F
-    r_s = (ratio * (sub_sum // sub_n) - weight // n + u for sub_sum, weight, u in zip(sub_sums, g_sums, u_s))
-    return DeletionReport(removed, p_g, p_gprime, tuple(r_s), u_s)
+    r_s = (ratio * sub_c - c + u for sub_c, c, u in zip(sub_f, f, u_s))
+    return DeletionReport(removed, _polynomial(n, f), _polynomial(sub_n, sub_f), tuple(r_s), u_s)
 
 
 def _cmd_poly(opts: dict, g: Graph) -> dict:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from succorder import ORACLE_MAX_N, BadDistribution, cli, counting, eval_partial
+from succorder import ORACLE_MAX_N, BadDistribution, cli, counting, eval_partial, pr_good
 from succorder.errors import InternalCheckError, VerificationError
 
 from conftest import C5_CHORD_TEXT, c5_chord
@@ -134,6 +134,10 @@ class TestEval:
         assert payload["bad"] == [0]
         assert payload["good"] == [1, 2]
 
+    def test_empty_list_items_are_skipped(self, capsys, p3_file):
+        assert cli.main(["eval", p3_file, "--good", "1,,2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["good"] == [1, 2]
+
     def test_vertex_out_of_range(self, p3_file):
         proc = run_cli("eval", p3_file, "--good", "9")
         assert proc.returncode == 1
@@ -179,7 +183,7 @@ class TestRegular:
 
 
 def wrong_on_call(call):
-    """An ``_event_sum`` whose numerator is 1 too large on its ``call``-th call."""
+    """An ``_event_sum`` whose count is 1 too large on its ``call``-th call."""
     real, calls = counting._event_sum, itertools.count(1)
 
     def wrong(g, bad, good):
@@ -234,9 +238,9 @@ class TestVerify:
             ("polynomial.bad_distribution", lambda poly: BadDistribution((60, 0)),
              "distribution: engine (60, 0) != oracle (4, 2, 0, 0)\n"),
             ("counting._event_sum", wrong_on_call(1),
-             "Pr(G_U) for U=[1, 2]: engine 8/9 != oracle 5/6\n"),
+             "Pr(G_U) for U=[1, 2]: engine 1 != oracle 5/6\n"),
             ("counting._event_sum", wrong_on_call(9),
-             "Pr(B_T ∩ G_S) for T=[2], S=[0, 1]: engine 2/9 != oracle 1/6\n"),
+             "Pr(B_T ∩ G_S) for T=[2], S=[0, 1]: engine 1/3 != oracle 1/6\n"),
         ],
         ids=["sigma", "distribution", "universe", "mixed"],
     )
@@ -245,7 +249,7 @@ class TestVerify:
     ):
         # the 8 universes come first and the 8 mixed events after them, by position;
         # P_3's distribution (4, 2, 0, 0) tells its sigma apart from A_1, and each
-        # whole message pins both sides' ratios over n * n! = 18
+        # whole message pins both sides' ratios over n! = 6
         monkeypatch.setattr(f"succorder.{name}", wrong)
         assert cli.main(["verify", p3_file]) == 3
         assert f"verification mismatch: {message}" in capsys.readouterr().err
@@ -276,6 +280,11 @@ class TestBench:
         assert "self_check" not in payload
         assert int(payload["sigma"]) > 0
         assert payload["elapsed_ms"] >= 0
+
+    def test_density_in_process(self, capsys):
+        assert cli.main(["bench", "--n", "10", "--density", "0.3", "--seed", "7", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert (payload["n"], payload["density"], payload["seed"]) == (10, 0.3, 7)
 
 
 # Runs cli.main on the argv in sys.argv[1] (JSON), then prints, as its last
@@ -470,7 +479,7 @@ class TestDeterminism:
             assert first == second
 
 
-#: The largest denominator the CLI prints: n * n! at n = 64.
+#: Past the largest denominator the CLI prints, n! at n = 64: 64 * 64! bounds n * n! at n <= 64 too.
 _MAX_DENOMINATOR = 64 * math.factorial(64)
 
 
@@ -521,6 +530,31 @@ class TestExitCodeMapping:
         with pytest.raises(InternalCheckError, match=r"outside \[0, 1\]"):
             eval_partial(c5_chord(), 0, 0b01101)
         assert cli.main(["eval", c5chord_file, "--good", "0,2,3"]) == 2
+
+    @pytest.mark.parametrize(
+        "call, argv",
+        [
+            (lambda g: pr_good(g, 0b01101), ["--good", "0,2,3"]),
+            (lambda g: eval_partial(g, 0, 0b01101), ["--good", "0,2,3"]),
+            (lambda g: eval_partial(g, 0b00001, 0b01100), ["--bad", "0", "--good", "2,3"]),
+        ],
+        ids=["pr_good", "universe", "mixed"],
+    )
+    def test_corrupt_event_weight_maps_to_2(self, monkeypatch, capsys, c5chord_file, call, argv):
+        # one unit too many at degree 1 would read as 409/600 and 27/200 over
+        # n * n!; over n! it is no whole number of orderings
+        layer_weights = counting._layer_weights
+
+        def one_more_at_degree_1(*args):
+            sums = layer_weights(*args)
+            return [sums[0], sums[1] + 1, *sums[2:]]
+
+        monkeypatch.setattr(counting, "_layer_weights", one_more_at_degree_1)
+        message = "F coefficient at degree 1 is not integral"
+        with pytest.raises(InternalCheckError, match=message):
+            call(c5_chord())
+        assert cli.main(["eval", c5chord_file, *argv]) == 2
+        assert f"internal check failed: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit, call, argv, message",
@@ -639,6 +673,27 @@ class TestArguments:
         err = capsys.readouterr().err
         assert err.startswith("usage: succorder")
         assert "error: " in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "succorder: error: the following arguments are required: command\n"),
+            (["--json", "count", "{path}"], "succorder: error: unrecognized arguments: --json\n"),
+        ],
+        ids=["no-command", "option-before-command"],
+    )
+    def test_usage_error_messages(self, capsys, argv, message, c5chord_file):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([arg.format(path=c5chord_file) for arg in argv])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(message)
+
+    def test_path_starting_with_a_dash_after_double_dash(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "-c5.txt").write_text(C5_CHORD_TEXT)
+        monkeypatch.chdir(tmp_path)
+        code, out = self.main_output(capsys, ["count", "--json", "--", "-c5.txt"])
+        assert code == 0
+        assert json.loads(out)["payload"]["sigma"] == "60"
 
     def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch, c5chord_file):
         # the console script succorder.cli:main calls main() with no argument

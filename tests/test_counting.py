@@ -68,6 +68,13 @@ class TestBTable:
         with pytest.raises(KeyError):
             compute_b_table(c5_chord())[mask_of([0, 1])]
 
+    def test_membership_is_independence_and_layers_hold_the_sets(self):
+        # {0, 2} is independent, {0, 1} is an edge and {0, 2, 4} is past alpha = 2
+        table = compute_b_table(c5_chord())
+        assert 0 in table and mask_of([0, 2]) in table
+        assert mask_of([0, 1]) not in table and mask_of([0, 2, 4]) not in table
+        assert [len(layer) for layer in table.layers] == [1, 5, 4]
+
 
 class TestPermutationSum:
     def test_c5_chord_pair(self):
@@ -218,7 +225,8 @@ class TestPrGood:
                 assert pr_good(g, universe) == brute_event(g, 0, universe)
 
     def test_rejects_foreign_vertices(self):
-        with pytest.raises(ValueError):
+        # the event core's own check, not the pass's "universe mentions ..."
+        with pytest.raises(ValueError, match="^vertex set mentions vertices outside the graph$"):
             pr_good(path_graph(3), 1 << 4)
 
 

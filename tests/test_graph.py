@@ -255,3 +255,9 @@ def test_negative_mask_is_a_value_error(call):
         timeout=20,
     )
     assert proc.stdout.startswith("vertex mask must be nonnegative, got -"), proc.stderr
+
+
+def test_negative_mask_is_a_value_error_in_process():
+    # ``next`` takes one step, so a check that let the mask through could not hang here
+    with pytest.raises(ValueError, match="vertex mask must be nonnegative, got -1"):
+        next(succorder.graph.iter_vertices(-1))

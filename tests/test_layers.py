@@ -195,11 +195,13 @@ def test_completeness_check_runs_on_a_sealed_universe(monkeypatch, k, index):
         list(iter_layers(g, mask_of([1, 2, 3, 4, 5])))
 
 
-def test_unsealed_universe_runs_no_completeness_check(monkeypatch):
-    # C6's edges {0, 1} and {3, 4} leave {1, 2, 3}, so no child count holds
-    # there and none is checked: losing the 2-set {1, 3} goes unseen
+def test_completeness_check_runs_on_an_unsealed_universe(monkeypatch):
+    # C6's edges {0, 1} and {3, 4} leave {1, 2, 3}, so a(J) overcounts J's
+    # children there; |{1, 2, 3} minus N[J]| does not, and losing the 2-set
+    # {1, 3} is caught
     edit_children(monkeypatch, 2, drop_child(0))
-    assert [len(layer) for layer in iter_layers(cycle_graph(6), mask_of([1, 2, 3]))] == [1, 3]
+    with pytest.raises(InternalCheckError, match="layer 2: child sums differ from layer 1's weight"):
+        list(iter_layers(cycle_graph(6), mask_of([1, 2, 3])))
 
 
 @pytest.mark.parametrize("universe", [None, mask_of([0, 2, 3])], ids=["whole", "restricted"])
