@@ -8,19 +8,19 @@ the order inside it.  So instead of scanning the n! orderings, the oracle
 walks the 2^n prefixes by size and keeps, for each one, how many ways of
 reaching it have k bad vertices so far.  Summed over all chains, the
 counts at P = V are the bad-vertex histogram of all n! orderings: σ is its
-k = 0 entry, and an event ("these vertices bad, those good") is the same
-walk with the steps that break it left out.  One walk serves any number of
-events, each in its own block of the integer a prefix carries; it holds the
-size guard and checks every event, so each entry point here is one call of it.
+k = 0 entry.  One walk serves any number of events ("these vertices bad,
+those good"), each in its own block of the integer a prefix carries, and
+holds the size guard and the event checks.  Two rules keep a block to its
+event: a required-bad vertex with a neighbour in P can only be good, so its
+events are cleared at P; and a bad step keeps only the events that allow
+its vertex bad, so a good step needs no mask.
 
 The walk takes O(n·2^n) steps and shares nothing with the engine: no
 independent sets and no b-recursion.  Counts are plain integers, so every
 result is exact.  ``bad_vertices`` classifies a single ordering straight
-from the definition; the tests scan all n! orderings with it to check
-this walk.
-
-The CLI's ``verify`` handler, which compares the engine's integers with
-this walk's, lives here.
+from the definition; the tests scan all n! orderings with it to check this
+walk.  The CLI's ``verify`` handler, which compares the engine's integers
+with this walk's, lives here.
 """
 
 from __future__ import annotations
@@ -62,12 +62,15 @@ def _prefix_counts(g: Graph, events: Sequence[tuple[VertexSet, VertexSet]]) -> l
     multiplication by y and merging two chains an addition.  Nothing carries
     between fields or blocks: no count at P exceeds |P|! ≤ n! < 2^w, and no
     ordering has n bad vertices, so no shift reaches the next block.  P also
-    carries N(P): a free vertex in N(P) steps in good, any other bad.  A free
-    required-bad vertex in N(P) can only step in good, so the blocks of the
-    events requiring it are cleared, and a prefix with no counts left is
-    dropped.  Only the prefixes of two sizes are held at a time, as
-    {prefix mask: [N(P), counts]}.  A graph past ``ORACLE_MAX_N``, or an event
-    naming a foreign vertex or one both bad and good, raises ValueError.
+    carries N(P): a free vertex in N(P) steps in good, any other bad.  Rule 1:
+    a free required-bad vertex in N(P) can only step in good, so the blocks of
+    the events requiring it are cleared at P.  Rule 2: a bad step keeps only
+    the blocks of the events that do not require its vertex good.  A good step
+    needs no mask: rule 1 has cleared every event requiring its vertex bad.
+    Prefixes and steps with no counts are dropped; only the prefixes of two
+    sizes are held, as {prefix mask: [N(P), counts]}.  A graph past
+    ``ORACLE_MAX_N``, or an event naming a foreign vertex or one both bad and
+    good, raises ValueError.
     """
     n, full = g.n, g.full_mask
     if n > ORACLE_MAX_N:
@@ -75,8 +78,7 @@ def _prefix_counts(g: Graph, events: Sequence[tuple[VertexSet, VertexSet]]) -> l
     w = math.factorial(n).bit_length()
     span = (n + 1) * w
     block = (1 << span) - 1
-    ones = any_bad = any_good = 0
-    always_good = full
+    ones = any_bad = 0
     for e, (bad_req, good_req) in enumerate(events):
         if (bad_req | good_req) & ~full:
             raise ValueError("requirement set mentions vertices outside the graph")
@@ -84,49 +86,35 @@ def _prefix_counts(g: Graph, events: Sequence[tuple[VertexSet, VertexSet]]) -> l
             raise ValueError("bad and good requirement sets overlap")
         ones |= 1 << e * span  # a count of 1 in the k = 0 field of event e's block
         any_bad |= bad_req
-        any_good |= good_req
-        always_good &= good_req
-    # bad steps: free for the vertices no event requires good, masked for the
-    # vertices only some events do (mixed), left out for the rest
-    mixed, plain = any_good & ~always_good, ~any_good
     row = {1 << v: adj for v, adj in enumerate(g.adj)}
-
-    def blocks_without(vertices: VertexSet, side: int) -> dict[VertexSet, int]:
-        """By vertex bit: the blocks of the events whose requirement on this side misses it."""
-        return {bit: sum(block << e * span for e, req in enumerate(events) if not req[side] & bit)
-                for bit in row if bit & vertices}
-
-    keep, allow = blocks_without(any_bad, 0), blocks_without(mixed, 1)
+    # by vertex bit: the blocks of the events that let it step in good, in bad
+    good_ok, bad_ok = ({bit: sum(block << e * span for e, req in enumerate(events) if not req[side] & bit)
+                        for bit in row} for side in (0, 1))
     # the first vertex is never bad
-    layer = {bit: [adj, ones & keep.get(bit, ones)] for bit, adj in row.items()}
+    layer = {bit: [adj, ones & good_ok[bit]] for bit, adj in row.items()}
     for _ in range(n - 1):
         below, layer = layer, {}
         for prefix, (nbhd, counts) in below.items():
             free = full & ~prefix
             doomed = free & nbhd & any_bad
-            while doomed:
+            while doomed:  # rule 1
                 bit = doomed & -doomed
                 doomed ^= bit
-                counts &= keep[bit]  # a required-bad vertex already has an earlier neighbour
+                counts &= good_ok[bit]
             if not counts:
                 continue
-            bad, shifted = free & ~nbhd, counts << w
-            moves = [(free & nbhd, counts), (bad & plain, shifted)]
-            bad &= mixed
-            while bad:
-                bit = bad & -bad
-                bad ^= bit
-                moves.append((bit, shifted & allow[bit]))
-            for steps, step_counts in moves:
-                while steps:
-                    bit = steps & -steps
-                    steps ^= bit
+            shifted = counts << w
+            while free:  # rule 2
+                bit = free & -free
+                free ^= bit
+                step = counts if nbhd & bit else shifted & bad_ok[bit]
+                if step:
                     key = prefix | bit
                     entry = layer.get(key)
                     if entry is None:
-                        layer[key] = [nbhd | row[bit], step_counts]
+                        layer[key] = [nbhd | row[bit], step]
                     else:
-                        entry[1] += step_counts
+                        entry[1] += step
     counts = layer[full][1] if full in layer else 0
     fields = [(counts >> i * w) & ((1 << w) - 1) for i in range(len(events) * (n + 1))]
     return [fields[i:i + n + 1] for i in range(0, len(fields), n + 1)]

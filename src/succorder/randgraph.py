@@ -14,12 +14,13 @@ import math
 import random
 import time
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 
 def random_connected_graph(n: int, density: float, seed: int) -> Graph:
-    if not 1 <= n <= 64:
-        raise ValueError(f"vertex count must be in [1, 64], got {n}")
+    # before the O(n²) coin flips: ``bench --n`` takes any decimal
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"edge density must be in [0, 1], got {density}")
     rng = random.Random(seed)

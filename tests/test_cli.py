@@ -286,6 +286,10 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert (payload["n"], payload["density"], payload["seed"]) == (10, 0.3, 7)
 
+    def test_vertex_count_past_the_graph_bound(self, capsys):
+        assert cli.main(["bench", "--n", "65"]) == 1
+        assert capsys.readouterr().err == "error: vertex count must be in [1, 64], got 65\n"
+
 
 # Runs cli.main on the argv in sys.argv[1] (JSON), then prints, as its last
 # stdout line, the exit code and which of numpy and the oracle got imported.

@@ -316,6 +316,13 @@ class TestDeleteDecompose:
         with pytest.raises(InternalCheckError, match="G' child sums at layer 1 differ from layer 0's weight"):
             c6_minus_0_delta_b()
 
+    def test_delta_b_check_fires_on_a_lost_survivor_in_g(self, monkeypatch):
+        # the recursion's pass over P_5 loses {0}, its first singleton and a
+        # survivor of S = {1}: G''s layer 1 then sums short of layer 0's weight
+        edit_g_layer(monkeypatch, 1, dropping(0), module=crosscheck)
+        with pytest.raises(InternalCheckError, match="^G' child sums at layer 1 differ from layer 0's weight$"):
+            crosscheck.delta_b(path_graph(5), mask_of([1]))
+
     # C6's layers, mask-ascending: its last 3-set is {1, 3, 5}, its last 2-set
     # {3, 5} and its first singleton {0}.  G's pass weight still counts the
     # dropped set and its per-set terms no longer do; {1, 3, 5} adds a_G = 0 to

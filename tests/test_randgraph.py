@@ -1,6 +1,6 @@
 import pytest
 
-from succorder import is_connected, random_connected_graph
+from succorder import MAX_VERTICES, is_connected, random_connected_graph
 
 
 def test_always_connected():
@@ -39,3 +39,5 @@ def test_rejects_bad_arguments():
         random_connected_graph(0, 0.2, 1)
     with pytest.raises(ValueError):
         random_connected_graph(5, 1.5, 1)
+    with pytest.raises(ValueError, match=r"^vertex count must be in \[1, 64\], got 65$"):
+        random_connected_graph(MAX_VERTICES + 1, 0.2, 1)

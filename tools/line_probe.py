@@ -9,7 +9,9 @@ code lives in ``src/succorder``, and records each line they execute.  It
 switches hypothesis deadlines off for the run, because tracing slows some
 property tests past theirs.  Afterwards the probe prints, per module, each
 line of a function body that no test executed.  Module and class bodies run
-at import time, before tracing starts, so their lines are left out.
+at import time, before tracing starts, so their lines are left out.  The
+exit code is pytest's when the tests fail, else 1 if any line was printed
+and 0 if none was, so "no unexecuted line" is a yes/no result.
 
 What the probe cannot see shows as missed: code run in a subprocess (the
 CLI tests that start ``python -m succorder``), and lines reached only
@@ -88,14 +90,15 @@ def main(argv: list[str]) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
     code = pytest.main(["-q", "-p", "no:cacheprovider", "-p", "line_probe", *(argv or [str(ROOT / "tests")])])
-    hit = sys.modules["line_probe"].HIT
+    hit, missed = sys.modules["line_probe"].HIT, False
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8").splitlines()
         lines = {ins.positions.lineno for code in function_bodies(path)
                  for ins in dis.get_instructions(code) if ins.opname not in _ENTRY}
         for line in sorted(lines - {None} - {line for name, line in hit if name == str(path)}):
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
-    return code
+            missed = True
+    return code or int(missed)
 
 
 if __name__ == "__main__":
