@@ -5,13 +5,23 @@ bench.  Results go to stdout, either human-readable or as one JSON
 document per run (--json); warnings and wall-clock timing go to stderr.
 Big integers are serialized as decimal strings and rationals as
 "numerator/denominator" in lowest terms, so machine consumers never lose
-precision.
+precision.  ``_json`` writes the document byte for byte as
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` would, without
+importing the ``json`` package.
+
+Every process enters through ``run``, which freezes the objects start-up
+left alive (``gc.freeze``) and returns ``main``'s exit code: they live until
+exit anyway, and frozen, no collection walks them again, the interpreter's
+collection at exit included.  ``main`` is what tests and tracers call in
+process, and it leaves the collector alone.
 
 Arguments are parsed with one table, ``_COMMANDS``: per command, the
 handler, whether it reads an edge-list path, and its options with a
-converter and a default.  The same table prints ``-h``.  Options go on
-either side of the path, as ``--opt VALUE`` or ``--opt=VALUE``, and are
-spelled in full.  argparse is not used: it and its imports cost about 6 ms.
+converter and a default.  Options go on either side of the path, as
+``--opt VALUE`` or ``--opt=VALUE``, and are spelled in full.  argparse is not
+used: it and its imports cost about 6 ms.  The ``-h`` text and the usage
+errors are rendered from the same table by ``usage``, which only ``-h``,
+``--help`` and a malformed command line import.
 
 This module imports only ``errors`` and ``graph`` at load time.  Each
 command's handler lives beside the engine module it runs, and
@@ -31,13 +41,13 @@ parsing: reading the input, the handler's engine imports (about 4 ms for
 leaves out interpreter start-up and the imports made before parsing,
 which are most of the wall time of a run on a small graph.
 
-Exit codes: 0 success, 1 input error, 2 internal assertion failure,
-3 verification mismatch.
+Exit codes: 0 success, 1 input error (a stdout that cannot be written
+included), 2 internal assertion failure, 3 verification mismatch.
 """
 
 from __future__ import annotations
 
-import json
+import gc
 import re
 import sys
 import time
@@ -69,9 +79,59 @@ def _density(text: str) -> float:
     return float(text)
 
 
+#: What ``json.dumps`` escapes under ``ensure_ascii``: the quote, the
+#: backslash and every character outside printable ASCII.
+_ESCAPED = re.compile(r'["\\]|[^ -~]')
+_SHORT_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
+_INF = float("inf")
+
+
+def _escape(match: re.Match) -> str:
+    char = match.group()
+    code = ord(char)
+    if code > 0xFFFF:
+        # past the Basic Multilingual Plane: the UTF-16 surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return _SHORT_ESCAPES.get(char, f"\\u{code:04x}")
+
+
+def _quoted(text: str) -> str:
+    return f'"{_ESCAPED.sub(_escape, text)}"'
+
+
+def _json(value, separators: tuple[str, str]) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, separators=separators)`` writes it.
+
+    Only what a command's document holds is written: dicts with str keys,
+    lists, str, int, bool and finite float.  Anything else raises TypeError,
+    a non-finite float included (``json.dumps`` would write ``NaN``, which is
+    not JSON).  The ``json`` package is not imported for this: its parser,
+    which no command runs, is half of its import time.
+    """
+    if isinstance(value, str):
+        return _quoted(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and -_INF < value < _INF:
+        return float.__repr__(value)
+    item, key = separators
+    if isinstance(value, list):
+        return "[" + item.join(_json(entry, separators) for entry in value) + "]"
+    if isinstance(value, dict):
+        # _quoted raises TypeError on a key that is not a str
+        pairs = sorted(value.items())
+        return "{" + item.join(f"{_quoted(k)}{key}{_json(v, separators)}" for k, v in pairs) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        print(_json(doc, (",", ":")))
         return
     print(f"command: {doc['command']}")
     info = doc["input"]
@@ -80,13 +140,11 @@ def _emit(doc: dict, as_json: bool) -> None:
         if isinstance(value, list):
             print(f"{key}: {' '.join(str(v) for v in value)}")
         elif isinstance(value, dict):
-            print(f"{key}: {json.dumps(value, sort_keys=True)}")
+            print(f"{key}: {_json(value, (', ', ': '))}")
         else:
             print(f"{key}: {value}")
 
 
-_DESCRIPTION = "Exact counting of successive vertex orderings of simple graphs."
-_PATH_HELP = "edge-list file ('n m' header, then 'u v' lines)"
 _JSON = {"--json": (None, False, None, "emit one JSON document")}
 
 #: Command name -> (handler's module, handler, whether it reads an edge-list
@@ -125,46 +183,16 @@ def _is_option(arg: str) -> bool:
     return arg.startswith("-") and arg != "-"
 
 
-def _spelling(name: str, spec: tuple) -> str:
-    """An option as its usage shows it: ``--json``, or ``--good LIST``."""
-    return name if spec[0] is None else f"{name} {spec[2]}"
+def _exit_with_usage(command: str | None, error: str | None = None) -> None:
+    """Print the help (no ``error``) and exit with EXIT_OK, or the usage and
+    ``error`` and exit with EXIT_INPUT.  The text lives in ``usage``, which
+    only these exits import."""
+    from . import usage
 
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: succorder [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
-    _, _, takes_path, _, options = _COMMANDS[command]
-    words = ["usage: succorder", command, "[-h]"]
-    words += [f"[{_spelling(name, spec)}]" for name, spec in options.items()]
-    return " ".join(words + ["path"] if takes_path else words)
-
-
-def _help(command: str | None) -> str:
-    help_row = ("-h, --help", "show this help message and exit")
-    if command is None:
-        lines = [_usage(None), "", _DESCRIPTION]
-        sections = [
-            ("commands", [(name, entry[3]) for name, entry in _COMMANDS.items()]),
-            ("options", [help_row, ("--version", "show the version and exit")]),
-        ]
-    else:
-        _, _, takes_path, text, options = _COMMANDS[command]
-        lines = [_usage(command), "", f"{text.capitalize()}."]
-        sections = [
-            ("positional arguments", [("path", _PATH_HELP)] if takes_path else []),
-            ("options", [help_row, *((_spelling(*item), item[1][3]) for item in options.items())]),
-        ]
-    width = max(len(label) for _, rows in sections for label, _ in rows) + 2
-    for title, rows in sections:
-        if rows:
-            lines += ["", f"{title}:", *(f"  {label:<{width}}{text}" for label, text in rows)]
-    return "\n".join(lines)
-
-
-def _usage_error(command: str | None, message: str) -> None:
-    prog = "succorder" if command is None else f"succorder {command}"
-    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
-    sys.exit(EXIT_INPUT)
+    if error is None:
+        print(usage._help(command))
+        sys.exit(EXIT_OK)
+    usage._usage_error(command, error)
 
 
 def _parse_args(argv: list[str]) -> dict:
@@ -179,8 +207,7 @@ def _parse_args(argv: list[str]) -> dict:
     unrecognized = []
     for arg in args:
         if arg in ("-h", "--help"):
-            print(_help(None))
-            sys.exit(EXIT_OK)
+            _exit_with_usage(None)
         if arg == "--version":
             print(f"succorder {__version__}")
             sys.exit(EXIT_OK)
@@ -189,10 +216,11 @@ def _parse_args(argv: list[str]) -> dict:
             break
         unrecognized.append(arg)
     else:
-        _usage_error(None, "the following arguments are required: command")
+        _exit_with_usage(None, "the following arguments are required: command")
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
-        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+        message = f"argument command: invalid choice: {command!r} (choose from {choices})"
+        _exit_with_usage(None, message)
     _, _, takes_path, _, options = _COMMANDS[command]
     opts = {"command": command, "path": None}
     opts.update((name[2:], spec[1]) for name, spec in options.items())
@@ -208,8 +236,7 @@ def _parse_args(argv: list[str]) -> dict:
             positional_only = True
             continue
         if arg in ("-h", "--help"):
-            print(_help(command))
-            sys.exit(EXIT_OK)
+            _exit_with_usage(command)
         name, has_value, value = arg.partition("=")
         spec = options.get(name)
         if spec is None:
@@ -218,22 +245,22 @@ def _parse_args(argv: list[str]) -> dict:
         convert = spec[0]
         if convert is None:
             if has_value:
-                _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+                _exit_with_usage(command, f"argument {name}: ignored explicit argument {value!r}")
             value = True
         else:
             if not has_value:
                 value = next(args, None)
                 if value is None or _is_option(value):
-                    _usage_error(command, f"argument {name}: expected one argument")
+                    _exit_with_usage(command, f"argument {name}: expected one argument")
             try:
                 value = convert(value)
             except ValueError as exc:
-                _usage_error(command, f"argument {name}: {exc}")
+                _exit_with_usage(command, f"argument {name}: {exc}")
         opts[name[2:]] = value
     if takes_path and opts["path"] is None:
-        _usage_error(command, "the following arguments are required: path")
+        _exit_with_usage(command, "the following arguments are required: path")
     if unrecognized:
-        _usage_error(None, f"unrecognized arguments: {' '.join(unrecognized)}")
+        _exit_with_usage(None, f"unrecognized arguments: {' '.join(unrecognized)}")
     return opts
 
 
@@ -262,11 +289,38 @@ def main(argv: list[str] | None = None) -> int:
         "input": {"n": g.n, "edges": g.edge_count, "connected": connected},
         "payload": payload,
     }
-    _emit(doc, opts["json"])
+    try:
+        _emit(doc, opts["json"])
+        sys.stdout.flush()
+    except OSError as exc:
+        # a full disk or a closed pipe; closing stdout drops what its buffer
+        # still holds, or the interpreter's flush at exit would fail again
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.close()
+        except OSError:
+            pass
+        return EXIT_INPUT
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(f"elapsed: {elapsed_ms:.3f} ms", file=sys.stderr)
     return EXIT_OK
 
 
+def run() -> int:
+    """The process entry: ``python -m succorder``, ``python -m succorder.cli``
+    and the ``succorder`` script run ``sys.exit(run())``.
+
+    Every object alive now (the interpreter's start-up, this module, the
+    package and what they import) lives until the process exits, so
+    ``gc.freeze()`` moves them out of every later cyclic collection, the one
+    the interpreter makes at exit included: about 4 ms of a process on a
+    2-vCPU machine.  Finalisation still runs, atexit handlers included.
+    ``main`` itself leaves the collector alone, since tests and tracers call
+    it in process.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

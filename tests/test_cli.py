@@ -1,10 +1,16 @@
+import errno
+import gc
 import importlib
+import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,6 +88,14 @@ class TestCount:
             path.write_text(text, encoding="utf-8")
             assert cli.main(["count", str(path)]) == 1
             assert f"line {line}" in capsys.readouterr().err
+
+    def test_elapsed_line_times_the_run(self, capsys, c5chord_file):
+        start = time.perf_counter()
+        assert cli.main(["count", c5chord_file]) == 0
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("elapsed: ") and line.endswith(" ms")
+        assert 0 < float(line[len("elapsed: "):-len(" ms")]) <= wall_ms
 
     def test_missing_file_exit_code(self):
         proc = run_cli("count", "no-such-file.txt")
@@ -460,7 +474,7 @@ class TestImportPath:
         loaded = {name for _, name in rows}
         assert "succorder.cli" in loaded and "succorder.crosscheck" not in loaded
 
-    @pytest.mark.parametrize("module", ["dataclasses", "inspect", "numpy"])
+    @pytest.mark.parametrize("module", ["dataclasses", "inspect", "numpy", "json"])
     def test_no_package_module_imports(self, module):
         engine = "regular, randgraph, polynomial, counting, layers, graph, errors, cli, oracle"
         proc = module_run("-c", f"from succorder import {engine}")
@@ -468,6 +482,76 @@ class TestImportPath:
         assert (0, "succorder.polynomial") in rows
         chain = importers(rows, module) or []
         assert not [name for name in chain if name.startswith("succorder")], chain
+
+
+class _Unwritable(io.StringIO):
+    """A stdout whose flush fails, as one on a full disk does."""
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        self.closed_by_main = True
+        self.flush()
+
+
+class TestUnwritableOutput:
+    """A stdout that cannot be written is an error line and exit 1, with no traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["block-buffered", "unbuffered"])
+    def test_full_device(self, c5chord_file, unbuffered):
+        # block-buffered, the failing flush used to come at exit (code 120);
+        # unbuffered, from a print in _emit
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "succorder", "count", c5chord_file],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: cannot write output: [Errno 28] No space left on device\n"
+        )
+
+    def test_in_process(self, capsys, monkeypatch, c5chord_file):
+        stdout = _Unwritable()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["count", c5chord_file, "--json"]) == 1
+        assert stdout.closed_by_main
+        err = capsys.readouterr().err
+        assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+class TestProcessEntry:
+    """``cli.run`` freezes the start-up's objects; ``main`` and imports leave the collector alone."""
+
+    def test_run_freezes_once_and_main_never(self, capsys, monkeypatch, c5chord_file):
+        # a real freeze would freeze the test process
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+        count = gc.get_freeze_count()
+        assert cli.main(["count", c5chord_file, "--json"]) == 0
+        assert (freezes, gc.get_freeze_count()) == ([], count)
+        monkeypatch.setattr(sys, "argv", ["succorder", "count", c5chord_file, "--json"])
+        assert cli.run() == 0
+        assert freezes == [1]
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["payload"]["sigma"] == "60"
+
+    def test_imports_leave_the_collector_alone(self):
+        modules = "cli, counting, layers, oracle, polynomial, randgraph, regular, usage"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import gc; from succorder import {modules}; print(gc.get_freeze_count(), gc.isenabled())"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "0 True\n"
+
+    def test_console_script_is_the_process_entry(self):
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'succorder = "succorder.cli:run"'
 
 
 class TestDeterminism:
@@ -654,6 +738,58 @@ class TestArguments:
         assert out.startswith("usage: succorder")
         assert all(name in out for name in names)
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["--help"], """\
+usage: succorder [-h] [--version] {count,poly,distribution,eval,delete,regular,verify,bench} ...
+
+Exact counting of successive vertex orderings of simple graphs.
+
+commands:
+  count         count the successive vertex orderings
+  poly          ordering polynomial coefficients
+  distribution  orderings by bad-vertex count
+  eval          event probabilities over vertex sets
+  delete        vertex-deletion decomposition
+  regular       fully-regular profile or witness
+  verify        compare the engine against the exact oracle
+  bench         time the engine on a random graph
+
+options:
+  -h, --help    show this help message and exit
+  --version     show the version and exit
+"""),
+            (["eval", "-h"], """\
+usage: succorder eval [-h] [--json] [--good LIST] [--bad LIST] path
+
+Event probabilities over vertex sets.
+
+positional arguments:
+  path         edge-list file ('n m' header, then 'u v' lines)
+
+options:
+  -h, --help   show this help message and exit
+  --json       emit one JSON document
+  --good LIST  comma-separated vertices required good
+  --bad LIST   comma-separated vertices required bad
+"""),
+        ],
+        ids=["commands", "eval"],
+    )
+    def test_help_text_in_full(self, capsys, argv, text):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert capsys.readouterr().out == text
+
+    def test_defaults(self, c5chord_file):
+        assert cli._parse_args(["bench"]) == {
+            "command": "bench", "path": None, "json": False, "n": 20, "density": 0.2, "seed": 0,
+        }
+        assert cli._parse_args(["verify", c5chord_file]) == {
+            "command": "verify", "path": c5chord_file, "json": False, "seed": 0,
+        }
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
@@ -700,7 +836,7 @@ class TestArguments:
         assert json.loads(out)["payload"]["sigma"] == "60"
 
     def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch, c5chord_file):
-        # the console script succorder.cli:main calls main() with no argument
+        # the process entry, cli.run, calls main() with no argument
         monkeypatch.setattr(sys, "argv", ["succorder", "count", c5chord_file, "--json"])
         code, out = self.main_output(capsys, None)
         assert code == 0
