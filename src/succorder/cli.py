@@ -7,42 +7,27 @@ Big integers are serialized as decimal strings and rationals as
 "numerator/denominator" in lowest terms, so machine consumers never lose
 precision.  ``_json`` writes the document byte for byte as
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` would, without
-importing the ``json`` package.
+importing the ``json`` package; it takes only strings that need no escape.
 
-Every process enters through ``run``, which freezes the objects start-up
-left alive (``gc.freeze``) and returns ``main``'s exit code: they live until
-exit anyway, and frozen, no collection walks them again, the interpreter's
-collection at exit included.  ``main`` is what tests and tracers call in
-process, and it leaves the collector alone.
+Every process enters through ``run``, which freezes start-up's objects and
+returns ``main``'s exit code.  ``main`` is the one place that writes and
+ends a run: the parser returns the options or raises ``_Exit`` with the
+text to write, and every line goes through ``_write``, so a stream that
+cannot be written ends in exit 1, never in a traceback.
 
-Arguments are parsed with one table, ``_COMMANDS``: per command, the
-handler, whether it reads an edge-list path, and its options with a
-converter and a default.  Options go on either side of the path, as
-``--opt VALUE`` or ``--opt=VALUE``, and are spelled in full.  argparse is not
-used: it and its imports cost about 6 ms.  The ``-h`` text and the usage
-errors are rendered from the same table by ``usage``, which only ``-h``,
-``--help`` and a malformed command line import.
-
-This module imports only ``errors`` and ``graph`` at load time.  Each
-command's handler lives beside the engine module it runs, and
-``_COMMANDS`` names it by module and function, so a process imports and
-compiles one handler, not eight, and ``-h`` imports none.  ``count`` and
-``eval`` load ``layers`` and ``counting`` and nothing else of the package;
-``bench`` adds ``randgraph`` to those; ``poly``, ``distribution`` and
-``delete`` add ``polynomial``; ``regular`` loads ``layers`` and
-``regular``; and only ``verify`` loads the oracle, with ``polynomial``.  No
-command imports ``fractions`` (nor the ``decimal`` it pulls in): each prints
-its ratios from integers through ``counting._ratio_text``.  No command loads
-``crosscheck``.
+Arguments are parsed with one table, ``_COMMANDS``, not argparse, whose
+imports cost about 6 ms.  The ``-h`` text and the usage errors are rendered
+from the table by ``usage``, which only ``-h``, ``--help`` and a malformed
+command line import.  This module imports only ``errors`` and ``graph`` at
+load time; ``_COMMANDS`` names each handler by the engine module it lives
+in, so a process imports and compiles one handler, not eight.
 
 The stderr ``elapsed: <x> ms`` line times only what follows argument
-parsing: reading the input, the handler's engine imports (about 4 ms for
-``count`` when no ``__pycache__`` exists), computing and printing.  It
-leaves out interpreter start-up and the imports made before parsing,
-which are most of the wall time of a run on a small graph.
+parsing: reading the input, the handler's imports, computing and printing.
 
-Exit codes: 0 success, 1 input error (a stdout that cannot be written
-included), 2 internal assertion failure, 3 verification mismatch.
+Exit codes: 0 success, 1 input error (an input past ``MAX_INPUT_CHARS`` and
+a stream that cannot be written included), 2 internal assertion failure,
+3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -61,6 +46,10 @@ EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_MISMATCH = 3
 
+#: The most characters read of an edge-list file; a longer one is refused
+#: before parsing.  K_64, the largest graph the engine takes, is 11.5 KB.
+MAX_INPUT_CHARS = 16 * 1024 * 1024
+
 
 def _input_graph(opts: dict) -> Graph:
     """The edge-list file named on the command line, or bench's seeded graph."""
@@ -69,7 +58,10 @@ def _input_graph(opts: dict) -> Graph:
 
         return random_connected_graph(opts["n"], opts["density"], opts["seed"])
     with open(opts["path"], encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+        text = handle.read(MAX_INPUT_CHARS + 1)
+    if len(text) > MAX_INPUT_CHARS:
+        raise ValueError(f"input longer than {MAX_INPUT_CHARS} characters")
+    return parse_edge_list(text)
 
 
 def _density(text: str) -> float:
@@ -79,36 +71,26 @@ def _density(text: str) -> float:
     return float(text)
 
 
-#: What ``json.dumps`` escapes under ``ensure_ascii``: the quote, the
-#: backslash and every character outside printable ASCII.
-_ESCAPED = re.compile(r'["\\]|[^ -~]')
-_SHORT_ESCAPES = {
-    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-}
+#: The strings ``json.dumps`` writes unescaped: printable ASCII but the
+#: quote and the backslash.
+_PLAIN = re.compile(r'[ !#-\[\]-~]*')
 _INF = float("inf")
 
 
-def _escape(match: re.Match) -> str:
-    char = match.group()
-    code = ord(char)
-    if code > 0xFFFF:
-        # past the Basic Multilingual Plane: the UTF-16 surrogate pair
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return _SHORT_ESCAPES.get(char, f"\\u{code:04x}")
-
-
 def _quoted(text: str) -> str:
-    return f'"{_ESCAPED.sub(_escape, text)}"'
+    # fullmatch raises TypeError on what is not a str, a dict key included
+    if _PLAIN.fullmatch(text) is None:
+        raise TypeError(f"{text!r} needs a JSON escape, which the emitter does not write")
+    return f'"{text}"'
 
 
 def _json(value, separators: tuple[str, str]) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, separators=separators)`` writes it.
 
     Only what a command's document holds is written: dicts with str keys,
-    lists, str, int, bool and finite float.  Anything else raises TypeError,
-    a non-finite float included (``json.dumps`` would write ``NaN``, which is
-    not JSON).  The ``json`` package is not imported for this: its parser,
+    lists, int, bool, finite float and str that needs no escape (printable
+    ASCII but ``"`` and ``\\``).  Anything else raises TypeError, NaN
+    included.  The ``json`` package is not imported for this: its parser,
     which no command runs, is half of its import time.
     """
     if isinstance(value, str):
@@ -123,26 +105,54 @@ def _json(value, separators: tuple[str, str]) -> str:
     if isinstance(value, list):
         return "[" + item.join(_json(entry, separators) for entry in value) + "]"
     if isinstance(value, dict):
-        # _quoted raises TypeError on a key that is not a str
         pairs = sorted(value.items())
         return "{" + item.join(f"{_quoted(k)}{key}{_json(v, separators)}" for k, v in pairs) + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(doc: dict, as_json: bool) -> None:
+def _document(doc: dict, as_json: bool) -> str:
+    """What stdout gets, less the last newline: one JSON line, or the human-readable lines."""
     if as_json:
-        print(_json(doc, (",", ":")))
-        return
-    print(f"command: {doc['command']}")
+        return _json(doc, (",", ":"))
     info = doc["input"]
-    print(f"n: {info['n']}  edges: {info['edges']}  connected: {info['connected']}")
+    lines = [
+        f"command: {doc['command']}",
+        f"n: {info['n']}  edges: {info['edges']}  connected: {info['connected']}",
+    ]
     for key, value in doc["payload"].items():
         if isinstance(value, list):
-            print(f"{key}: {' '.join(str(v) for v in value)}")
+            value = " ".join(str(v) for v in value)
         elif isinstance(value, dict):
-            print(f"{key}: {_json(value, (', ', ': '))}")
-        else:
-            print(f"{key}: {value}")
+            value = _json(value, (", ", ": "))
+        lines.append(f"{key}: {value}")
+    return "\n".join(lines)
+
+
+def _write(text: str, name: str = "stderr") -> bool:
+    """Write ``text`` and a newline to ``sys.stderr`` (or ``sys.stdout``) and flush it.
+
+    False when the stream cannot be written: it is None, as when closed at
+    start, or closed, or its write or flush fails.  A failed stream is closed,
+    which drops what its buffer holds, so the interpreter's flush at exit
+    cannot fail again.  A lost stdout is reported on stderr.
+    """
+    stream = getattr(sys, name)
+    if stream is None or stream.closed:
+        failure = f"{name} is closed"
+    else:
+        try:
+            stream.write(text + "\n")
+            stream.flush()
+            return True
+        except OSError as exc:
+            failure = str(exc)
+            try:
+                stream.close()
+            except OSError:
+                pass
+    if name == "stdout":
+        _write(f"error: cannot write output: {failure}")
+    return False
 
 
 _JSON = {"--json": (None, False, None, "emit one JSON document")}
@@ -183,16 +193,17 @@ def _is_option(arg: str) -> bool:
     return arg.startswith("-") and arg != "-"
 
 
-def _exit_with_usage(command: str | None, error: str | None = None) -> None:
-    """Print the help (no ``error``) and exit with EXIT_OK, or the usage and
-    ``error`` and exit with EXIT_INPUT.  The text lives in ``usage``, which
-    only these exits import."""
+class _Exit(Exception):
+    """``(code, text)`` of a parse that runs no command: the help, the version or a usage error."""
+
+
+def _usage_exit(command: str | None, error: str | None = None) -> _Exit:
+    """The help (no ``error``) or a usage error, from ``usage``, which only these exits import."""
     from . import usage
 
     if error is None:
-        print(usage._help(command))
-        sys.exit(EXIT_OK)
-    usage._usage_error(command, error)
+        return _Exit(EXIT_OK, usage._help(_COMMANDS, command))
+    return _Exit(EXIT_INPUT, usage._usage_error(_COMMANDS, command, error))
 
 
 def _parse_args(argv: list[str]) -> dict:
@@ -200,27 +211,25 @@ def _parse_args(argv: list[str]) -> dict:
 
     Options go on either side of the path, as ``--opt VALUE`` or
     ``--opt=VALUE``, and everything after ``--`` is positional.  Long
-    options are spelled in full.  A usage error exits with EXIT_INPUT;
-    ``-h``, ``--help`` and ``--version`` print to stdout and exit with EXIT_OK.
+    options are spelled in full.  ``-h``, ``--help``, ``--version`` and a
+    usage error raise ``_Exit``; nothing here writes or exits.
     """
     args = iter(argv)
     unrecognized = []
     for arg in args:
         if arg in ("-h", "--help"):
-            _exit_with_usage(None)
+            raise _usage_exit(None)
         if arg == "--version":
-            print(f"succorder {__version__}")
-            sys.exit(EXIT_OK)
+            raise _Exit(EXIT_OK, f"succorder {__version__}")
         if not _is_option(arg):
             command = arg
             break
         unrecognized.append(arg)
     else:
-        _exit_with_usage(None, "the following arguments are required: command")
+        raise _usage_exit(None, "the following arguments are required: command")
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
-        message = f"argument command: invalid choice: {command!r} (choose from {choices})"
-        _exit_with_usage(None, message)
+        raise _usage_exit(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
     _, _, takes_path, _, options = _COMMANDS[command]
     opts = {"command": command, "path": None}
     opts.update((name[2:], spec[1]) for name, spec in options.items())
@@ -236,7 +245,7 @@ def _parse_args(argv: list[str]) -> dict:
             positional_only = True
             continue
         if arg in ("-h", "--help"):
-            _exit_with_usage(command)
+            raise _usage_exit(command)
         name, has_value, value = arg.partition("=")
         spec = options.get(name)
         if spec is None:
@@ -245,65 +254,61 @@ def _parse_args(argv: list[str]) -> dict:
         convert = spec[0]
         if convert is None:
             if has_value:
-                _exit_with_usage(command, f"argument {name}: ignored explicit argument {value!r}")
+                raise _usage_exit(command, f"argument {name}: ignored explicit argument {value!r}")
             value = True
         else:
             if not has_value:
                 value = next(args, None)
                 if value is None or _is_option(value):
-                    _exit_with_usage(command, f"argument {name}: expected one argument")
+                    raise _usage_exit(command, f"argument {name}: expected one argument")
             try:
                 value = convert(value)
             except ValueError as exc:
-                _exit_with_usage(command, f"argument {name}: {exc}")
+                raise _usage_exit(command, f"argument {name}: {exc}")
         opts[name[2:]] = value
     if takes_path and opts["path"] is None:
-        _exit_with_usage(command, "the following arguments are required: path")
+        raise _usage_exit(command, "the following arguments are required: path")
     if unrecognized:
-        _exit_with_usage(None, f"unrecognized arguments: {' '.join(unrecognized)}")
+        raise _usage_exit(None, f"unrecognized arguments: {' '.join(unrecognized)}")
     return opts
 
 
 def main(argv: list[str] | None = None) -> int:
-    opts = _parse_args(sys.argv[1:] if argv is None else argv)
-    start = time.perf_counter()
+    """Run one command line and return its exit code.
+
+    Every line is written here, through ``_write``.  A stdout that cannot be
+    written makes the code EXIT_INPUT.  A stderr line that cannot be written
+    is dropped, and it makes EXIT_INPUT of EXIT_OK; a failed run keeps its code.
+    """
     try:
+        opts = _parse_args(sys.argv[1:] if argv is None else argv)
+        start = time.perf_counter()
         g = _input_graph(opts)
         connected = is_connected(g)
-        if not connected:
-            print("warning: graph is disconnected; it has no successive ordering", file=sys.stderr)
+        # a connected graph has no warning to lose
+        warned = connected or _write("warning: graph is disconnected; it has no successive ordering")
         module, handler = _COMMANDS[opts["command"]][:2]
         # with a fromlist, __import__ returns the submodule itself
         payload = getattr(__import__(f"{__package__}.{module}", fromlist=[handler]), handler)(opts, g)
+    except _Exit as stop:
+        code, text = stop.args
+        written = _write(text, "stdout" if code == EXIT_OK else "stderr")
+        return EXIT_INPUT if code == EXIT_OK and not written else code
     except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(f"error: {exc}")
         return EXIT_INPUT
     except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
+        _write(f"internal check failed: {exc}")
         return EXIT_INTERNAL
     except VerificationError as exc:
-        print(f"verification mismatch: {exc}", file=sys.stderr)
+        _write(f"verification mismatch: {exc}")
         return EXIT_MISMATCH
-    doc = {
-        "command": opts["command"],
-        "input": {"n": g.n, "edges": g.edge_count, "connected": connected},
-        "payload": payload,
-    }
-    try:
-        _emit(doc, opts["json"])
-        sys.stdout.flush()
-    except OSError as exc:
-        # a full disk or a closed pipe; closing stdout drops what its buffer
-        # still holds, or the interpreter's flush at exit would fail again
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        try:
-            sys.stdout.close()
-        except OSError:
-            pass
+    info = {"n": g.n, "edges": g.edge_count, "connected": connected}
+    doc = {"command": opts["command"], "input": info, "payload": payload}
+    if not _write(_document(doc, opts["json"]), "stdout"):
         return EXIT_INPUT
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    print(f"elapsed: {elapsed_ms:.3f} ms", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if _write(f"elapsed: {elapsed_ms:.3f} ms") and warned else EXIT_INPUT
 
 
 def run() -> int:
@@ -313,10 +318,8 @@ def run() -> int:
     Every object alive now (the interpreter's start-up, this module, the
     package and what they import) lives until the process exits, so
     ``gc.freeze()`` moves them out of every later cyclic collection, the one
-    the interpreter makes at exit included: about 4 ms of a process on a
-    2-vCPU machine.  Finalisation still runs, atexit handlers included.
-    ``main`` itself leaves the collector alone, since tests and tracers call
-    it in process.
+    at exit included: about 4 ms of a process on a 2-vCPU machine.  ``main``
+    leaves the collector alone, since tests and tracers call it in process.
     """
     gc.freeze()
     return main()

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -100,6 +101,32 @@ class TestCount:
     def test_missing_file_exit_code(self):
         proc = run_cli("count", "no-such-file.txt")
         assert proc.returncode == 1
+
+    def test_input_past_the_cap_is_refused(self, capsys, tmp_path):
+        # files, not /dev/zero, in process: a reader that ignored the cap
+        # would still stop at their end
+        path = tmp_path / "padded.txt"
+        padding = cli.MAX_INPUT_CHARS - len(C5_CHORD_TEXT) - 1
+        path.write_text(C5_CHORD_TEXT + "#" * padding + "\n")
+        assert cli.main(["count", str(path), "--json"]) == 0
+        path.write_text(C5_CHORD_TEXT + "#" * (padding + 1) + "\n")
+        assert cli.main(["count", str(path), "--json"]) == 1
+        path.unlink()
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "error: input longer than 16777216 characters"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_input_is_refused_at_the_cap(self):
+        # the address-space limit turns a reader that ignores the cap into a
+        # MemoryError in the child, not a test process that fills the memory
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "succorder", "count", "/dev/zero"],
+            capture_output=True, text=True, timeout=10, preexec_fn=limit,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "error: input longer than 16777216 characters\n")
 
 
 class TestPolyAndDistribution:
@@ -474,6 +501,16 @@ class TestImportPath:
         loaded = {name for _, name in rows}
         assert "succorder.cli" in loaded and "succorder.crosscheck" not in loaded
 
+    def test_help_compiles_the_cli_once_and_usage_imports_nothing_of_the_package(self):
+        # under -m succorder.cli the running copy is __main__, which -X importtime does not list
+        for entry, listed in (("succorder", 1), ("succorder.cli", 0)):
+            rows = importtime_tree(module_run("-m", entry, "-h").stderr)
+            names = [name for _, name in rows]
+            assert names.count("succorder.cli") == listed
+            i = names.index("succorder.usage")
+            below = itertools.takewhile(lambda row: row[0] > rows[i][0], reversed(rows[:i]))
+            assert not [name for _, name in below if name.startswith("succorder")]
+
     @pytest.mark.parametrize("module", ["dataclasses", "inspect", "numpy", "json"])
     def test_no_package_module_imports(self, module):
         engine = "regular, randgraph, polynomial, counting, layers, graph, errors, cli, oracle"
@@ -485,7 +522,7 @@ class TestImportPath:
 
 
 class _Unwritable(io.StringIO):
-    """A stdout whose flush fails, as one on a full disk does."""
+    """A stream whose flush fails, as one on a full disk does."""
 
     def flush(self):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -522,6 +559,74 @@ class TestUnwritableOutput:
         assert stdout.closed_by_main
         err = capsys.readouterr().err
         assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    # every way out of main: help and version, a usage error, a document
+    # with its elapsed line, and an input error
+    _ARGVS = {
+        "help": ["-h"], "long-help": ["--help"], "version": ["--version"],
+        "command-help": ["count", "-h"], "no-path": ["count"],
+        "document": ["count", "{path}", "--json"], "missing-file": ["count", "{missing}"],
+    }
+    #: What a writable stderr holds when stdout is lost, for the argv that write only to stderr.
+    _STDERR_ONLY = {
+        "no-path": "usage: succorder count [-h] [--json] path\n"
+                   "succorder count: error: the following arguments are required: path\n",
+        "missing-file": "error: [Errno 2] No such file or directory: '{missing}'\n",
+    }
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["block-buffered", "unbuffered"])
+    @pytest.mark.parametrize("lost", ["stdout-full", "stdout-closed", "stderr-full", "stderr-closed"])
+    @pytest.mark.parametrize("case", list(_ARGVS))
+    def test_every_exit_path(self, capsys, tmp_path, c5chord_file, case, lost, unbuffered):
+        missing = str(tmp_path / "missing.txt")
+        argv = [arg.format(path=c5chord_file, missing=missing) for arg in self._ARGVS[case]]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        stream, how = lost.split("-")
+        fd = 1 if stream == "stdout" else 2
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with open("/dev/full", "w") as full:
+            if how == "full":
+                pipes[stream] = full
+            proc = subprocess.run(
+                [sys.executable, "-m", "succorder", *argv], text=True, env=env, **pipes,
+                preexec_fn=(lambda: os.close(fd)) if how == "closed" else None,
+            )
+        assert proc.returncode != 120
+        if stream == "stdout":
+            expected = self._STDERR_ONLY.get(case)
+            if expected is None:
+                reason = "[Errno 28] No space left on device" if how == "full" else "stdout is closed"
+                expected = f"error: cannot write output: {reason}\n"
+            assert (proc.returncode, proc.stderr) == (1, expected.format(missing=missing))
+            return
+        # stderr is lost: stdout is what an in-process run writes, and a lost
+        # stderr line turns exit 0 into 1
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout) == (code or int(bool(err)), out)
+
+    def test_in_process_streams(self, capsys, monkeypatch, c5chord_file):
+        # stdout closed at start
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main(["--version"]) == 1
+        assert capsys.readouterr().err == "error: cannot write output: stdout is closed\n"
+        monkeypatch.undo()
+        # a stderr that fails: the document is written, the run exits 1, and
+        # a failed run keeps its code
+        for argv, code in ((["count", c5chord_file, "--json"], 1), (["count"], 1), (["--help"], 0)):
+            stderr = _Unwritable()
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert cli.main(argv) == code
+            assert getattr(stderr, "closed_by_main", False) == (argv != ["--help"])
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["payload"]["sigma"] == "60"
+        # a stderr already closed: its lines are dropped
+        stderr = io.StringIO()
+        stderr.close()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert cli.main(["count", c5chord_file]) == 1
 
 
 class TestProcessEntry:
@@ -687,15 +792,11 @@ class TestExitCodeMapping:
         ],
     )
     def test_usage_error_maps_to_1(self, argv, c5chord_file):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([arg.format(path=c5chord_file) for arg in argv])
-        assert exc.value.code == 1
+        assert cli.main([arg.format(path=c5chord_file) for arg in argv]) == 1
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, flag):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([flag])
-        assert exc.value.code == 0
+        assert cli.main([flag]) == 0
 
     def test_removed_threads_flag_maps_to_1(self, c5chord_file):
         proc = run_cli("count", c5chord_file, "--threads", "0")
@@ -731,9 +832,7 @@ class TestArguments:
         ],
     )
     def test_help_names_the_commands_and_options(self, capsys, argv, names):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 0
+        assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert out.startswith("usage: succorder")
         assert all(name in out for name in names)
@@ -778,8 +877,7 @@ options:
         ids=["commands", "eval"],
     )
     def test_help_text_in_full(self, capsys, argv, text):
-        with pytest.raises(SystemExit):
-            cli.main(argv)
+        assert cli.main(argv) == 0
         assert capsys.readouterr().out == text
 
     def test_defaults(self, c5chord_file):
@@ -791,9 +889,7 @@ options:
         }
 
     def test_version(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--version"])
-        assert exc.value.code == 0
+        assert cli.main(["--version"]) == 0
         assert capsys.readouterr().out == "succorder 0.1.0\n"
 
     @pytest.mark.parametrize(
@@ -807,9 +903,7 @@ options:
         ids=["option-without-value", "unknown-command", "second-path", "flag-with-value"],
     )
     def test_usage_errors_exit_1_with_the_usage(self, capsys, argv, c5chord_file):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([arg.format(path=c5chord_file) for arg in argv])
-        assert exc.value.code == 1
+        assert cli.main([arg.format(path=c5chord_file) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: succorder")
         assert "error: " in err
@@ -823,9 +917,7 @@ options:
         ids=["no-command", "option-before-command"],
     )
     def test_usage_error_messages(self, capsys, argv, message, c5chord_file):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([arg.format(path=c5chord_file) for arg in argv])
-        assert exc.value.code == 1
+        assert cli.main([arg.format(path=c5chord_file) for arg in argv]) == 1
         assert capsys.readouterr().err.endswith(message)
 
     def test_path_starting_with_a_dash_after_double_dash(self, capsys, monkeypatch, tmp_path):

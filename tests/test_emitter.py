@@ -16,7 +16,8 @@ _SPECIAL = (
     "\U00010000\U0001f600\U0010fc00\U0010ffff"
 )
 
-_strings = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(_SPECIAL)))
+#: The strings the emitter writes: printable ASCII but the quote and the backslash.
+_strings = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'))
 _scalars = st.one_of(
     _strings,
     st.integers(),
@@ -41,8 +42,23 @@ def json_forms(value):
 
 @pytest.mark.parametrize("char", list(_SPECIAL))
 def test_each_special_character_is_escaped_as_json_does(char):
-    assert both_forms(char) == json_forms(char)
-    assert both_forms({char: [char]}) == json_forms({char: [char]})
+    # the emitter writes what json.dumps leaves unescaped, the two ends of
+    # printable ASCII among these, and refuses the rest
+    if char in " ~":
+        assert both_forms(char) == json_forms(char)
+        assert both_forms({char: [char]}) == json_forms({char: [char]})
+        return
+    for value in (char, f"a{char}b", [char], {char: 1}, {"k": char}):
+        for separators in ((",", ":"), (", ", ": ")):
+            with pytest.raises(TypeError, match="needs a JSON escape"):
+                cli._json(value, separators)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(_strings, st.characters(min_codepoint=0x80), _strings).map("".join))
+def test_non_ascii_strings_raise_type_error(text):
+    with pytest.raises(TypeError, match="needs a JSON escape"):
+        cli._json({"payload": [text]}, (",", ":"))
 
 
 @pytest.mark.parametrize(
